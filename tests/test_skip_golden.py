@@ -1,0 +1,52 @@
+"""Golden digests of Skip cells on ihf2025.
+
+Each digest is the sha256 prefix of a cell's structured export without its
+elapsed-time metadata, so it pins the histogram, the pair-matrix counts and
+every derived statistic bit for bit.  The same digests must hold at any
+worker count, shard split and batch size: 4100 trials run as one shard
+(two full 2048-trial batches and a remainder) and as two shards of 2050
+(each one full batch plus two trials); 2051 trials straddle one batch.
+
+Re-record only in a change that is meant to alter Skip results:
+``PYTHONPATH=src python tests/test_skip_golden.py``.
+"""
+
+import hashlib
+
+import pytest
+
+import drawlab as dl
+from drawlab.experiment import export_results, strip_metadata
+
+SCENARIOS = (0, 1, 17, 31)
+SEEDS = (2, 11)
+RUNS = ((4100, 1), (4100, 2), (2051, 1))  # (trials, workers)
+
+GOLDEN = {
+    (4100, 2): {0: 'ab910bc7b40e7a37', 1: '1c3e1a1b2776655b', 17: 'bec8b927f5fcedc8', 31: 'd420e31632cf1f67'},
+    (4100, 11): {0: '6d88dd3e7abf2cdc', 1: '36479b85e14d0235', 17: 'b0751fdb8d0651f0', 31: '72b16634e53b4119'},
+    (2051, 2): {0: 'adcbcda96708087b', 1: '6356c0b1270e25ed', 17: 'f8808fc1d466a738', 31: 'a56357cb744ebfc7'},
+    (2051, 11): {0: 'db7df3305b125988', 1: '04720c8f8f121068', 17: '50244493a916930d', 31: 'd93f79271979f594'},
+}
+
+
+def cell_digests(instance, trials, seed, workers):
+    results = dl.sweep(instance, SCENARIOS, ["skip"], trials, seed, workers=workers)
+    out = {}
+    for r in results:
+        doc = strip_metadata(export_results([r], "structured"))
+        out[r.scenario] = hashlib.sha256(doc.encode()).hexdigest()[:16]
+    return out
+
+
+@pytest.mark.parametrize("trials,workers", RUNS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_skip_cells_match_golden_digests(ihf, seed, trials, workers):
+    assert cell_digests(ihf, trials, seed, workers) == GOLDEN[(trials, seed)]
+
+
+if __name__ == "__main__":
+    inst = dl.get_instance("ihf2025")
+    for trials in sorted({t for t, _ in RUNS}, reverse=True):
+        for seed in SEEDS:
+            print(f"    ({trials}, {seed}): {cell_digests(inst, trials, seed, 1)},")
