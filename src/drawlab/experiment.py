@@ -16,20 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasibleScenarioError, ResultFormatError
-from .mechanisms import (
-    DEFAULT_PROPOSAL_CAP,
-    MECHANISMS,
-    VectorUniform,
-    cell_key,
-    get_skip_engine,
-)
+from .errors import ResultFormatError
+from .mechanisms import DEFAULT_PROPOSAL_CAP, MECHANISMS, VectorUniform, get_skip_engine
 from .metrics import MatrixAccumulator, PairMatrixSet, pair_matrices, pot_pairs
 from .model import Instance, scenario_constraints
-from .rng import RngStream, derive_sub
 
 RESULTS_SCHEMA = "drawlab.results/1"
-_CHUNK = 1 << 16
+_CHUNK = 1 << 16  # Uniform trials per batch
+_SKIP_BATCH = 2048  # Skip trials per batch; bounds the kernel's per-step arrays
 
 CSV_COLUMNS = (
     "scenario",
@@ -53,11 +47,11 @@ class ScenarioResult:
     seed: int
     mean_unattractive: float
     stderr_unattractive: float
-    i_hat: float
+    i_hat: float | None  # None when read back from the table format
     inequality: float
     stderr_i: float
     feasible_proportion: float | None
-    histogram: dict  # unattractive count -> raw trial count
+    histogram: dict | None  # unattractive count -> raw trial count; None as i_hat
     elapsed_ms: float
     m: int = 0
     n: int = 0
@@ -65,6 +59,11 @@ class ScenarioResult:
 
     @property
     def histogram_probs(self) -> dict:
+        if self.histogram is None:
+            raise ValueError(
+                f"scenario {self.scenario} {self.mechanism} carries no histogram "
+                "(the table format does not store one; use the structured format)"
+            )
         return {k: v / self.trials for k, v in sorted(self.histogram.items())}
 
 
@@ -87,83 +86,61 @@ class ParetoResult:
 # ---------------------------------------------------------------------------
 
 
-def _shard_uniform(instance, constraints, seed, lo, hi, max_proposals):
-    sampler = VectorUniform(instance, constraints)
-    n, m = instance.n, instance.m
-    conf = np.array([t.confederation for t in instance.teams], dtype=np.int64)
+def _unattractive(pos: np.ndarray, conf: np.ndarray, nconf: int) -> np.ndarray:
+    """Same-confederation pairs per assignment of a (T, m*n) batch.
+
+    Sorting each row's (group, confederation) codes puts equal codes in
+    runs; a team's offset within its run counts the pairs it closes, so the
+    row sum of offsets is the sum of C(run length, 2).
+    """
+    codes = pos.astype(np.int32) * nconf + conf
+    codes.sort(axis=1)
+    idx = np.arange(1, codes.shape[1])
+    starts = np.where(codes[:, 1:] == codes[:, :-1], 0, idx)
+    np.maximum.accumulate(starts, axis=1, out=starts)
+    return (idx - starts).sum(axis=1)
+
+
+def _shard(instance, constraints, mechanism, seed, lo, hi, max_proposals):
+    """Integer counters of trials [lo, hi) of one cell, accumulated batch by batch."""
+    if mechanism == "uniform":
+        sampler = VectorUniform(instance, constraints)
+        batch = _CHUNK
+
+        def draw(a, b):
+            return sampler.run_trials(seed, a, b, max_proposals=max_proposals)
+
+    else:
+        engine = get_skip_engine(instance, constraints)
+        batch = _SKIP_BATCH
+
+        def draw(a, b):
+            return engine.run_trials(seed, a, b), None
+
+    conf = np.array([t.confederation for t in instance.teams], dtype=np.int32)
     nconf = len(instance.confederations)
-    acc = MatrixAccumulator(m, n)
+    acc = MatrixAccumulator(instance.m, instance.n)
     hist = np.zeros(1, dtype=np.int64)
     proposals = 0
-    for start in range(lo, hi, _CHUNK):
-        stop = min(start + _CHUNK, hi)
-        pos, props = sampler.run_trials(seed, start, stop, max_proposals=max_proposals)
-        proposals += int(props.sum())
+    for start in range(lo, hi, batch):
+        pos, props = draw(start, min(start + batch, hi))
+        if props is not None:
+            proposals += int(props.sum())
         acc.add_pos_batch(pos)
-        T = stop - start
-        flat = (
-            np.arange(T, dtype=np.int64)[:, None] * (n * nconf)
-            + pos.astype(np.int64) * nconf
-            + conf[None, :]
-        )
-        counts = np.bincount(flat.ravel(), minlength=T * n * nconf).reshape(T, -1)
-        u = (counts * (counts - 1) // 2).sum(axis=1)
-        top = int(u.max()) + 1 if T else 1
+        u = _unattractive(pos, conf, nconf)
+        top = int(u.max()) + 1
         if top > hist.size:
             hist = np.concatenate([hist, np.zeros(top - hist.size, dtype=np.int64)])
         hist += np.bincount(u, minlength=hist.size)
-    return acc.counts, acc.trials, hist, proposals
-
-
-def _shard_skip(instance, constraints, seed, lo, hi):
-    engine = get_skip_engine(instance, constraints)
-    if not engine.feasible:
-        raise InfeasibleScenarioError(
-            f"no valid assignment exists for scenario {constraints.scenario}"
-        )
-    n, m = instance.n, instance.m
-    nconf = len(instance.confederations)
-    conf = [t.confederation for t in instance.teams]
-    pairs = pot_pairs(m)
-    npairs = len(pairs)
-    flat_counts = [0] * (npairs * n * n)
-    hist = {}
-    ckey = cell_key(seed, "skip", constraints.scenario)
-    draw_pos = engine.draw_pos
-    nsq = n * n
-    for t in range(lo, hi):
-        stream = RngStream.from_key(derive_sub(ckey, t))
-        pos, _ = draw_pos(stream)
-        cnt = [0] * (n * nconf)
-        u = 0
-        for tid in range(m * n):
-            idx = pos[tid] * nconf + conf[tid]
-            u += cnt[idx]
-            cnt[idx] += 1
-        hist[u] = hist.get(u, 0) + 1
-        inv = [0] * (m * n)
-        for tid in range(m * n):
-            inv[(tid // n) * n + pos[tid]] = tid % n
-        for p, (k, l) in enumerate(pairs):
-            base = p * nsq
-            a = (k - 1) * n
-            b = (l - 1) * n
-            for g in range(n):
-                flat_counts[base + inv[a + g] * n + inv[b + g]] += 1
-    counts = np.array(flat_counts, dtype=np.int64).reshape(npairs, n, n)
-    top = max(hist) + 1 if hist else 1
-    hist_arr = np.zeros(top, dtype=np.int64)
-    for k, v in hist.items():
-        hist_arr[k] = v
-    return counts, hi - lo, hist_arr, None
+    return acc.counts, acc.trials, hist, proposals if mechanism == "uniform" else None
 
 
 def _run_shard(args):
+    """One shard's counters plus its own elapsed milliseconds."""
     instance, scenario, mechanism, seed, lo, hi, max_proposals = args
-    constraints = scenario_constraints(scenario)
-    if mechanism == "uniform":
-        return _shard_uniform(instance, constraints, seed, lo, hi, max_proposals)
-    return _shard_skip(instance, constraints, seed, lo, hi)
+    t0 = time.perf_counter()
+    parts = _shard(instance, scenario_constraints(scenario), mechanism, seed, lo, hi, max_proposals)
+    return parts + ((time.perf_counter() - t0) * 1000.0,)
 
 
 def _merge_shards(parts):
@@ -176,11 +153,12 @@ def _merge_shards(parts):
     proposals = None
     if parts[0][3] is not None:
         proposals = sum(p[3] for p in parts)
-    return counts, trials, hist, proposals
+    elapsed_ms = sum(p[4] for p in parts)
+    return counts, trials, hist, proposals, elapsed_ms
 
 
 def _result_from_counts(instance, scenario, mechanism, trials, seed, merged, elapsed_ms):
-    counts, _, hist, proposals = merged
+    counts, _, hist, proposals, _ = merged
     n, m = instance.n, instance.m
     probs = counts.astype(np.float64) / trials
     sq = float(np.square(probs).sum())
@@ -282,21 +260,18 @@ def sweep(
         tasks.extend(
             (instance, s, mech, seed, lo, hi, max_proposals) for lo, hi in shards
         )
-    t0 = time.perf_counter()
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_shard, tasks))
     else:
         parts = [_run_shard(t) for t in tasks]
-    elapsed_ms = (time.perf_counter() - t0) * 1000.0
     results = []
     i = 0
     for s, mech, nshards in spans:
         merged = _merge_shards(parts[i : i + nshards])
         i += nshards
-        results.append(
-            _result_from_counts(instance, s, mech, trials, seed, merged, elapsed_ms)
-        )
+        # a cell's time is the sum of its own shards' times
+        results.append(_result_from_counts(instance, s, mech, trials, seed, merged, merged[4]))
     return results
 
 
@@ -401,7 +376,11 @@ def export_results(results, fmt: str = "table") -> str:
                 "I": r.inequality,
                 "stderr_I": r.stderr_i,
                 "feasible_proportion": r.feasible_proportion,
-                "histogram": {str(k): v for k, v in sorted(r.histogram.items())},
+                "histogram": (
+                    None
+                    if r.histogram is None
+                    else {str(k): v for k, v in sorted(r.histogram.items())}
+                ),
                 "m": r.m,
                 "n": r.n,
                 "elapsed_ms": r.elapsed_ms,
@@ -416,11 +395,11 @@ def export_results(results, fmt: str = "table") -> str:
 def export_histograms(results) -> str:
     """Wide delimited table of histogram masses, one row per cell."""
     results = sorted(results, key=lambda r: (r.scenario, r.mechanism))
-    values = sorted({v for r in results for v in r.histogram})
+    cell_probs = [r.histogram_probs for r in results]
+    values = sorted({v for probs in cell_probs for v in probs})
     lines = [f"# {RESULTS_SCHEMA} histograms"]
     lines.append(",".join(["scenario", "mechanism", "trials"] + [str(v) for v in values]))
-    for r in results:
-        probs = r.histogram_probs
+    for r, probs in zip(results, cell_probs):
         lines.append(
             ",".join(
                 [str(r.scenario), r.mechanism, str(r.trials)]
@@ -443,6 +422,7 @@ def parse_results(text: str):
         out = []
         for row in payload["results"]:
             counts = row.get("matrix_counts")
+            hist = row["histogram"]
             out.append(
                 ScenarioResult(
                     scenario=row["scenario"],
@@ -455,7 +435,7 @@ def parse_results(text: str):
                     inequality=row["I"],
                     stderr_i=row["stderr_I"],
                     feasible_proportion=row["feasible_proportion"],
-                    histogram={int(k): v for k, v in row["histogram"].items()},
+                    histogram=None if hist is None else {int(k): v for k, v in hist.items()},
                     elapsed_ms=row["elapsed_ms"],
                     m=row.get("m", 0),
                     n=row.get("n", 0),
@@ -481,13 +461,13 @@ def parse_results(text: str):
                 seed=int(row["seed"]),
                 mean_unattractive=float(row["mean_unattractive"]),
                 stderr_unattractive=float(row["stderr_unattractive"]),
-                i_hat=0.0,
+                i_hat=None,  # not in the table format
                 inequality=float(row["I"]),
                 stderr_i=float(row["stderr_I"]),
                 feasible_proportion=(
                     float(row["feasible_proportion"]) if row["feasible_proportion"] else None
                 ),
-                histogram={},
+                histogram=None,
                 elapsed_ms=float(row["elapsed_ms"]),
             )
         )

@@ -9,9 +9,12 @@ that keeps the partial assignment valid and completable.
 
 Each trial consumes a private counter-based stream, so a trial's outcome is
 a pure function of (instance, constraints, mechanism, seed, trial index).
-The scalar functions here are the reference semantics; the vectorised
-uniform sampler reproduces them word for word and is cross-checked in the
-test suite.
+The scalar Uniform functions (``uniform_draw``) are the reference
+semantics of the vectorised ``VectorUniform`` sampler, which reproduces them
+word for word.  Skip has a single implementation, the batch kernel of
+``SkipEngine``: Monte Carlo cells run it on batches of trials, and single
+draws (``skip_draw``, ``draw_trial``, pinned orders) run it on a batch of
+one.  The brute-force ``oracle`` module is its independent reference.
 """
 
 from __future__ import annotations
@@ -191,87 +194,212 @@ def uniform_draw(
 # ---------------------------------------------------------------------------
 
 
-class SkipEngine:
-    """Sequential placement with exact completability look-ahead.
+# Keys of a placement step are deduplicated before their Python-level
+# lookups only above this count: for fewer keys the sort costs more than the
+# lookups it saves.
+_DEDUP_MIN = 16
 
-    The engine shares the completability checker's memo across draws:
-    constraint-relevant states repeat massively over a Monte Carlo run, so
-    after a short warm-up almost every look-ahead is a dictionary hit.
+
+def _distinct(keys: np.ndarray):
+    """(first, inverse) of the distinct entries of a 1-D key array.
+
+    ``values[first]`` holds one value per distinct key and
+    ``values[first][inverse]`` restores every entry.  Few keys are all kept.
+    """
+    if keys.size <= _DEDUP_MIN:
+        return slice(None), slice(None)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse.ravel()
+
+
+def _key_words(radices):
+    """Split columns with the given radices into runs that pack into one uint64.
+
+    Returns (start, stop, weights) per word: the word is the mixed-radix
+    number sum(col * weight) over columns start..stop-1.
+    """
+    words = []
+    start = 0
+    while start < len(radices):
+        weights = []
+        span = 1
+        stop = start
+        while stop < len(radices) and span * radices[stop] <= 1 << 64:
+            weights.append(span)
+            span *= radices[stop]
+            stop += 1
+        if stop == start:
+            raise ValueError(f"radix {radices[start]} does not fit a 64-bit key word")
+        words.append((start, stop, np.array(weights, dtype=np.uint64)))
+        start = stop
+    return words
+
+
+class SkipEngine:
+    """Skip placement with exact completability look-ahead, batched across trials.
+
+    All trials of a batch step through the m*n placements together.  At each
+    step every pending trial tries its next open group (in label order): the
+    group's new signature comes from the checker's ``place_sig``, and the
+    child state (sorted group signatures plus the pot's remaining type
+    counts) is packed into integer key words.  Distinct keys are looked up
+    once each through ``completable_state``, so the checker's memo stays the
+    only record of completability and is shared across batches: states
+    repeat massively over a Monte Carlo run, so after a short warm-up almost
+    every look-ahead is a dictionary hit.
     """
 
     def __init__(self, instance: Instance, constraints: ConstraintSet):
         self.instance = instance
         self.constraints = constraints
-        self.checker = get_checker(instance, constraints)
-        self.n = instance.n
-        self.m = instance.m
-        self.pot_ids = [
-            [t.id for t in instance.pot_teams(k)] for k in range(1, instance.m + 1)
-        ]
+        self.checker = checker = get_checker(instance, constraints)
+        self.n = n = instance.n
+        self.m = m = instance.m
+        # narrow dtypes keep a batch's per-step arrays small
+        self.pot_ids = np.array(
+            [[t.id for t in instance.pot_teams(k)] for k in range(1, m + 1)],
+            dtype=np.min_scalar_type(m * n - 1),
+        )
+        self.team_type = np.array(checker.team_type, dtype=np.intp)
+        self.full_counts = np.array(checker.full_pot_counts, dtype=np.int64)
         # remaining-count templates around the pot currently being drawn
-        empty = tuple([0] * self.checker.ntypes)
-        full = self.checker.full_pot_counts
-        self._prefix = [tuple(empty for _ in range(k)) for k in range(instance.m + 1)]
-        self._suffix = [tuple(full[k:]) for k in range(instance.m + 1)]
-        state = self.checker.state_of(Assignment.empty(instance))
-        self.feasible = state is not None and self.checker.completable_state(*state)
+        empty = tuple([0] * checker.ntypes)
+        full = checker.full_pot_counts
+        self._prefix = [tuple(empty for _ in range(k)) for k in range(m + 1)]
+        self._suffix = [tuple(full[k:]) for k in range(m + 1)]
+        # state key columns: n signatures of 8+m bits, then ntypes counts 0..n
+        sig_radix = 1 << checker.empty_group_sig.bit_length()
+        self._words = _key_words([sig_radix] * n + [n + 1] * checker.ntypes)
+        # memo keys share one int object per signature value, as place_sig's do
+        self._ints = {}
+        state = checker.state_of(Assignment.empty(instance))
+        self.feasible = state is not None and checker.completable_state(*state)
 
-    def place_orders(self, orders, want_trace: bool = False):
-        """Deterministic Skip placement for explicit per-pot draw orders.
+    def draw_orders(self, keys, offset: int = 0) -> np.ndarray:
+        """Per-pot draw orders of a batch of streams: (T, m, n) team ids.
 
-        Returns (pos, trace): pos[team id] -> group, trace as in DrawOutcome.
+        Pot k consumes words offset + k*n .. offset + k*n + n-1 of each
+        stream, with the same pick-and-swap as ``RngStream.draw_order``.
+        """
+        keys = np.asarray(keys, dtype=np.uint64)[:, None]
+        T = keys.shape[0]
+        n = self.n
+        rows = np.arange(T)
+        orders = np.empty((T, self.m, n), dtype=self.pot_ids.dtype)
+        idx = np.arange(n, dtype=np.uint64)
+        for k in range(self.m):
+            words = words_np(keys, np.uint64(offset + k * n) + idx)
+            pool = np.tile(self.pot_ids[k], (T, 1))
+            for i in range(n):
+                size = n - i
+                j = (words[:, i] % np.uint64(size)).astype(np.intp)
+                orders[:, k, i] = pool[rows, j]
+                pool[rows, j] = pool[:, size - 1]
+        return orders
+
+    def place_orders(self, orders) -> np.ndarray:
+        """Deterministic Skip placement of a batch of draw orders.
+
+        ``orders`` is (T, m, n): row k of a trial lists pot k+1's team ids in
+        draw order.  Returns pos (T, m*n) int8, team id -> group.
         """
         if not self.feasible:
             raise InfeasibleScenarioError(
                 f"no valid assignment exists for scenario {self.constraints.scenario}"
             )
-        checker = self.checker
-        team_type = checker.team_type
-        place_sig = checker.place_sig
-        completable_state = checker.completable_state
+        orders = np.asarray(orders)
+        T = orders.shape[0]
         n = self.n
-        sigs = [checker.empty_group_sig] * n
-        pos = [-1] * (self.m * n)
-        filled = [False] * n
-        trace = [] if want_trace else None
+        rows = np.arange(T)
+        groups = np.arange(n)
+        sigs = np.full((T, n), self.checker.empty_group_sig, dtype=np.int64)
+        pos = np.full((T, self.m * n), -1, dtype=np.int8)
         for k in range(self.m):
-            rem = list(checker.full_pot_counts[k])
-            prefix = self._prefix[k]
-            suffix = self._suffix[k + 1]
-            filled = [False] * n
-            for tid in orders[k]:
-                tc = team_type[tid]
-                rem[tc] -= 1
-                rem_key = prefix + (tuple(rem),) + suffix
-                skipped = [] if want_trace else None
-                chosen = -1
-                for g in range(n):
-                    if filled[g]:
-                        continue
-                    new_sig = place_sig(sigs[g], tc, k)
-                    if new_sig is not None:
-                        child = list(sigs)
-                        child[g] = new_sig
-                        child.sort()
-                        if completable_state(tuple(child), rem_key):
-                            chosen = g
-                            sigs[g] = new_sig
-                            filled[g] = True
-                            pos[tid] = g
-                            break
-                    if want_trace:
-                        skipped.append(g)
-                if chosen < 0:
-                    raise InfeasibleScenarioError(
-                        "skip draw dead end; completability look-ahead violated"
-                    )
-                if want_trace:
-                    trace.append((tid, chosen, tuple(skipped)))
-        return pos, tuple(trace) if want_trace else ()
+            filled = np.zeros((T, n), dtype=bool)
+            rem = np.tile(self.full_counts[k], (T, 1))
+            for j in range(n):
+                tid = orders[:, k, j]
+                tc = self.team_type[tid]
+                rem[rows, tc] -= 1
+                live = rows
+                g = filled.argmin(axis=1)  # first open group
+                while live.size:
+                    new = self._place_sigs(sigs[live, g], tc[live], k)
+                    ok = new >= 0
+                    if ok.any():
+                        cand = live[ok]
+                        child = sigs[cand]
+                        child[np.arange(cand.size), g[ok]] = new[ok]
+                        child.sort(axis=1)
+                        ok[ok] = self._completable(child, rem[cand], k)
+                        done, gd = live[ok], g[ok]
+                        sigs[done, gd] = new[ok]
+                        filled[done, gd] = True
+                        pos[done, tid[done]] = gd
+                    live, g = live[~ok], g[~ok]
+                    if live.size:
+                        later = ~filled[live] & (groups > g[:, None])
+                        g = later.argmax(axis=1)
+                        if not later[np.arange(live.size), g].all():
+                            raise InfeasibleScenarioError(
+                                "skip draw dead end; completability look-ahead violated"
+                            )
+        return pos
 
-    def draw_pos(self, stream: RngStream, want_trace: bool = False):
-        orders = [stream.draw_order(ids) for ids in self.pot_ids]
-        return self.place_orders(orders, want_trace=want_trace)
+    def _place_sigs(self, sigs: np.ndarray, type_codes: np.ndarray, k: int) -> np.ndarray:
+        """The checker's ``place_sig`` per (signature, type) pair; -1 where it is None."""
+        nt = self.checker.ntypes
+        codes = sigs * nt + type_codes
+        first, inverse = _distinct(codes)
+        place = self.checker.place_sig
+        new = [place(c // nt, c % nt, k) for c in codes[first].tolist()]
+        return np.array([-1 if s is None else s for s in new], dtype=np.int64)[inverse]
+
+    def _completable(self, child: np.ndarray, rem: np.ndarray, k: int) -> np.ndarray:
+        """Look-ahead verdict per row of sorted child signatures and pot-k counts."""
+        states = np.concatenate([child, rem], axis=1)
+        first = inverse = slice(None)
+        if states.shape[0] > _DEDUP_MIN:
+            # pack each state into key words (values are >= 0, so the bits
+            # of the int64 columns are their uint64 values)
+            cols = states.view(np.uint64)
+            keys = np.stack([cols[:, a:b] @ w for a, b, w in self._words], axis=1)
+            row_key = np.dtype((np.void, keys.itemsize * keys.shape[1]))  # a row as one key
+            first, inverse = _distinct(keys.view(row_key).ravel())
+        completable = self.checker.completable_state
+        intern = self._ints.setdefault
+        prefix, suffix = self._prefix[k], self._suffix[k + 1]
+        n = self.n
+        verdicts = [
+            completable(tuple([intern(s, s) for s in row[:n]]), prefix + (tuple(row[n:]),) + suffix)
+            for row in states[first].tolist()
+        ]
+        return np.array(verdicts, dtype=bool)[inverse]
+
+    def run_trials(self, seed: int, t_lo: int, t_hi: int) -> np.ndarray:
+        """Skip assignments (T, m*n) of trials [t_lo, t_hi) of one cell."""
+        ckey = cell_key(seed, "skip", self.constraints.scenario)
+        keys = trial_keys(ckey, np.arange(t_lo, t_hi, dtype=np.uint64))
+        return self.place_orders(self.draw_orders(keys))
+
+    def outcome(self, orders, want_trace: bool = True) -> DrawOutcome:
+        """One placed trial of (m, n) draw orders, with its trace.
+
+        A team's skipped groups are the groups of its pot still open when it
+        was drawn whose label is below the group it went to.
+        """
+        orders = np.asarray(orders, dtype=np.intp)
+        pos = self.place_orders(orders[None])[0].tolist()
+        trace = []
+        if want_trace:
+            for order in orders.tolist():
+                taken = set()
+                for tid in order:
+                    g = pos[tid]
+                    trace.append((tid, g, tuple(h for h in range(g) if h not in taken)))
+                    taken.add(g)
+        asg = _pos_to_assignment(self.instance, pos)
+        return DrawOutcome(asg, proposals_used=1, trace=tuple(trace))
 
 
 _engine_cache = {}
@@ -289,19 +417,21 @@ def get_skip_engine(instance: Instance, constraints: ConstraintSet) -> SkipEngin
 def skip_draw(instance: Instance, constraints: ConstraintSet, rng: RngStream) -> DrawOutcome:
     """One Skip draw: pots emptied in order, teams drawn uniformly within a pot."""
     engine = get_skip_engine(instance, constraints)
-    pos, trace = engine.draw_pos(rng, want_trace=True)
-    return DrawOutcome(_pos_to_assignment(instance, pos), proposals_used=1, trace=trace)
+    orders = engine.draw_orders([rng.key], offset=rng.pos)[0]
+    rng.pos += engine.m * engine.n
+    return engine.outcome(orders)
 
 
 def skip_draw_with_orders(instance, constraints, orders, want_trace: bool = True) -> DrawOutcome:
     """Skip placement for pinned draw orders (per-pot lists of team ids)."""
     engine = get_skip_engine(instance, constraints)
+    if len(orders) != instance.m:
+        raise ValueError(f"orders must list {instance.m} pots")
     for k, order in enumerate(orders, start=1):
         expect = {t.id for t in instance.pot_teams(k)}
         if set(order) != expect or len(order) != len(expect):
             raise ValueError(f"orders[{k - 1}] must list every pot-{k} team exactly once")
-    pos, trace = engine.place_orders(orders, want_trace=want_trace)
-    return DrawOutcome(_pos_to_assignment(instance, pos), proposals_used=1, trace=trace)
+    return engine.outcome(orders, want_trace=want_trace)
 
 
 def draw_trial(

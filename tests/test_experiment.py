@@ -189,6 +189,28 @@ def test_export_round_trip_table(ihf):
         assert back.feasible_proportion == orig.feasible_proportion
 
 
+def test_table_readback_marks_values_it_lacks(ihf):
+    results = dl.sweep(ihf, [0], ["uniform"], 300, seed=3)
+    back = dl.parse_results(dl.export_results(results, "table"))[0]
+    assert back.i_hat is None and back.histogram is None
+    with pytest.raises(ValueError, match="no histogram"):
+        back.histogram_probs
+    with pytest.raises(ValueError, match="no histogram"):
+        dl.export_histograms([back])
+    # a structured export of the readback keeps them missing
+    again = dl.parse_results(dl.export_results([back], "structured"))[0]
+    assert again.i_hat is None and again.histogram is None
+
+
+def test_sweep_cells_carry_their_own_time(ihf):
+    results = dl.sweep(ihf, [0, 31], ["uniform", "skip"], 2000, seed=8)
+    elapsed = {(r.scenario, r.mechanism): r.elapsed_ms for r in results}
+    assert all(ms > 0 for ms in elapsed.values())
+    assert len(set(elapsed.values())) == len(elapsed)
+    # Skip under all constraints costs far more per trial than Uniform without any
+    assert elapsed[(31, "skip")] > 2 * elapsed[(0, "uniform")]
+
+
 def test_export_round_trip_structured(ihf):
     results = dl.sweep(ihf, [0], ["skip", "uniform"], 300, seed=3)
     doc = dl.export_results(results, "structured")

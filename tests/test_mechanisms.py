@@ -4,11 +4,22 @@ import random
 import numpy as np
 import pytest
 
-import drawlab as dl
-from drawlab.mechanisms import VectorUniform, trial_stream
-from drawlab.oracle import _Rules, _naive_skip_place
+from hypothesis import given, settings, strategies as st
 
-from conftest import random_feasible_case
+import drawlab as dl
+from drawlab.experiment import _merge_shards, _run_shard
+from drawlab.mechanisms import (
+    DEFAULT_PROPOSAL_CAP,
+    VectorUniform,
+    _pos_to_assignment,
+    cell_key,
+    get_skip_engine,
+    trial_stream,
+)
+from drawlab.oracle import _Rules, _naive_skip_place
+from drawlab.rng import RngStream, trial_keys
+
+from conftest import random_feasible_case, random_instance
 
 
 def _pos_of(instance, assignment):
@@ -243,6 +254,84 @@ def test_skip_engine_matches_naive_placement_on_random_instances():
             )
             assert out.assignment.comembership() == naive
         checked += 1
+
+
+def _random_orders(rng, inst):
+    orders = []
+    for k in range(1, inst.m + 1):
+        ids = [t.id for t in inst.pot_teams(k)]
+        rng.shuffle(ids)
+        orders.append(ids)
+    return orders
+
+
+def _naive_classes(inst, cs, orders):
+    grid = _naive_skip_place(_Rules(inst, cs), [tuple(o) for o in orders])
+    return tuple(
+        sorted(tuple(sorted(grid[k][g] for k in range(inst.m))) for g in range(inst.n))
+    )
+
+
+def test_skip_batch_placement_matches_naive_placement_on_random_instances():
+    rng = random.Random(20251018)
+    for _ in range(25):
+        inst, cs, _ = random_feasible_case(rng, max_pots=3, max_teams=4)
+        batch = [_random_orders(rng, inst) for _ in range(40)]
+        pos = get_skip_engine(inst, cs).place_orders(np.array(batch))
+        for orders, row in zip(batch, pos.tolist()):
+            got = _pos_to_assignment(inst, row).comembership()
+            assert got == _naive_classes(inst, cs, orders)
+
+
+def _stream_orders(inst, stream):
+    return [stream.draw_order([t.id for t in inst.pot_teams(k)]) for k in range(1, inst.m + 1)]
+
+
+def test_vector_draw_orders_equal_stream_draw_order(ihf):
+    rng = random.Random(4)
+    for inst in (ihf, random_instance(rng, max_pots=4, max_teams=6)):
+        engine = get_skip_engine(inst, dl.scenario_constraints(0))
+        keys = trial_keys(cell_key(5, "skip", 0), np.arange(100, 140, dtype=np.uint64))
+        for offset in (0, 3):
+            orders = engine.draw_orders(keys, offset=offset)
+            for key, got in zip(keys.tolist(), orders.tolist()):
+                stream = RngStream.from_key(key, pos=offset)
+                assert got == _stream_orders(inst, stream)
+                assert stream.pos == offset + inst.m * inst.n
+
+
+def _feasible_skip_case(rng):
+    while True:
+        inst = random_instance(rng, max_pots=3, max_teams=5)
+        cs = dl.scenario_constraints(rng.randrange(32))
+        if get_skip_engine(inst, cs).feasible:
+            return inst, cs
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**20),
+    cuts=st.lists(st.integers(1, 69), max_size=4),
+)
+def test_skip_results_do_not_depend_on_batch_or_shard_split(case, seed, cuts):
+    inst, cs = _feasible_skip_case(random.Random(case))
+    engine = get_skip_engine(inst, cs)
+    T = 70
+    bounds = [0] + sorted(set(cuts)) + [T]
+    spans = list(zip(bounds, bounds[1:]))
+    whole = engine.run_trials(seed, 0, T)
+    assert (np.vstack([engine.run_trials(seed, a, b) for a, b in spans]) == whole).all()
+    # a single draw is the same trial as its row of a batch
+    t = bounds[1] - 1
+    out = dl.draw_trial(inst, cs, "skip", seed, t)
+    assert _pos_to_assignment(inst, whole[t].tolist()) == out.assignment
+    # shard counters merge to the serial ones
+    task = (inst, cs.scenario, "skip", seed)
+    serial = _run_shard(task + (0, T, DEFAULT_PROPOSAL_CAP))
+    merged = _merge_shards([_run_shard(task + (a, b, DEFAULT_PROPOSAL_CAP)) for a, b in spans])
+    assert (serial[0] == merged[0]).all() and serial[1] == merged[1] == T
+    assert np.trim_zeros(serial[2], "b").tolist() == np.trim_zeros(merged[2], "b").tolist()
 
 
 # ---------------------------------------------------------------------------
