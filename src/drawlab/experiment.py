@@ -95,7 +95,7 @@ def _unattractive(pos: np.ndarray, conf: np.ndarray, nconf: int) -> np.ndarray:
     """
     codes = pos.astype(np.int32) * nconf + conf
     codes.sort(axis=1)
-    idx = np.arange(1, codes.shape[1])
+    idx = np.arange(1, codes.shape[1], dtype=np.int32)
     starts = np.where(codes[:, 1:] == codes[:, :-1], 0, idx)
     np.maximum.accumulate(starts, axis=1, out=starts)
     return (idx - starts).sum(axis=1)

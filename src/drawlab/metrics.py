@@ -114,7 +114,7 @@ class MatrixAccumulator:
         if T == 0:
             return
         n = self.n
-        cols = [pos[:, k * n : (k + 1) * n].astype(np.int64) for k in range(self.m)]
+        cols = [pos[:, k * n : (k + 1) * n] for k in range(self.m)]
         invs = [np.argsort(c, axis=1) for c in cols]
         local = np.arange(n, dtype=np.int64)[None, :] * n
         for idx, (k, l) in enumerate(self.pairs):
