@@ -252,6 +252,8 @@ def sweep(
     for _, mech in cells:
         if mech not in MECHANISMS:
             raise ValueError(f"unknown mechanism {mech!r}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     tasks = []
     spans = []
     for s, mech in cells:

@@ -11,7 +11,11 @@ Each trial consumes a private counter-based stream, so a trial's outcome is
 a pure function of (instance, constraints, mechanism, seed, trial index).
 The scalar Uniform functions (``uniform_draw``) are the reference
 semantics of the vectorised ``VectorUniform`` sampler, which reproduces them
-word for word.  Skip has a single implementation, the batch kernel of
+word for word.  Every team of a proposal reads a fixed word of its stream,
+so ``VectorUniform`` may build the pots in any order: it builds the most
+constrained pots first and drops a rejected proposal as soon as a bound
+breaks, without building its remaining pots.  Skip has a single
+implementation, the batch kernel of
 ``SkipEngine``: Monte Carlo cells run it on batches of trials, and single
 draws (``skip_draw``, ``draw_trial``, pinned orders) run it on a batch of
 one.  The brute-force ``oracle`` module is its independent reference.
@@ -63,7 +67,10 @@ class _ProposalLayout:
     Every proposal consumes exactly m*n stream words: first one word per
     excluded team (placed into distinct groups), then one word per remaining
     team, pot by pot in id order.  Fixed positions keep the scalar and the
-    vectorised samplers aligned.
+    vectorised samplers aligned.  They also make a pot's groups a function
+    of its own words and the host teams' groups alone, so the vectorised
+    sampler can build the pots in any order and leave unbuilt the pots of a
+    proposal it has already rejected.
     """
 
     def __init__(self, instance: Instance):
@@ -459,9 +466,17 @@ def draw_trial(
 class VectorUniform:
     """Batch generator of uniform-mechanism trials.
 
-    Reproduces the scalar rejection sampler exactly: trial t's proposal p is
-    built from the same stream words in the same order, so shard boundaries
-    and batch sizes cannot change any outcome.
+    Reproduces the scalar rejection sampler exactly: trial t's proposal p
+    reads the same stream words as ``uniform_draw`` (one block of m*n words
+    per round for every pending trial), so shard boundaries and batch sizes
+    cannot change any outcome.  Because ``_ProposalLayout`` fixes the word
+    column of every team, and a pot's pool of open groups depends only on
+    the host teams' groups, the pots of a proposal can be built in any
+    order.  A round places the host teams, then builds the pots one at a
+    time, those with the most bound-confederation teams first; after each
+    pot it drops the proposals that already break a bound that pot's teams
+    can break, so later pots are built only for the proposals still alive.
+    The European band is checked once, after the last pot.
     """
 
     def __init__(self, instance: Instance, constraints: ConstraintSet):
@@ -470,59 +485,96 @@ class VectorUniform:
         n, m = instance.n, instance.m
         self.n, self.m = n, m
         layout = _layout(instance)
-        self.host_order = layout.host_order
-        self.nonhost = layout.nonhost
         self.words = layout.words
         validity = _validity(instance, constraints)
-        self.bound_ids = [np.array(ids) for ids in validity.bound_ids]
         self.euro_ids = np.array(validity.euro_ids, dtype=np.intp)
         self.lo, self.hi = validity.lo, validity.hi
-        self.host_pot = [instance.pot_of(t) - 1 for t in self.host_order]
+        # A-D: an n-bit group field per bound confederation, packed into
+        # int64 mask words; field f sits in word f // per_word
+        per_word = 64 // n
+        if validity.bound_ids and not per_word:
+            raise ValueError(f"the Uniform sampler supports at most 64 groups (got {n})")
+        field = {tid: f for f, ids in enumerate(validity.bound_ids) for tid in ids}
+        self.nmasks = -(-len(validity.bound_ids) // per_word) if per_word else 0
+        seen = set()  # fields with a team placed in an earlier step
 
-    def _build_proposals(self, words: np.ndarray) -> np.ndarray:
-        """Team->group positions for one proposal round; words is (L, m*n)."""
-        L = words.shape[0]
-        n, m = self.n, self.m
-        rows = np.arange(L)
-        pos = np.full((L, m * n), -1, dtype=np.int8)
-        avail = np.tile(np.arange(n, dtype=np.int8), (L, 1))
-        c = 0
-        size = n
-        for tid in self.host_order:
-            pick = (words[:, c] % np.uint64(size)).astype(np.intp)
-            g = avail[rows, pick]
-            pos[:, tid] = g
-            size -= 1
-            avail[rows, pick] = avail[:, size]
-            c += 1
-        for k in range(m):
-            taken = np.zeros((L, n), dtype=bool)
-            for tid, kp in zip(self.host_order, self.host_pot):
-                if kp == k:
-                    taken[rows, pos[:, tid]] = True
-            order = np.argsort(taken, axis=1, kind="stable").astype(np.int8)
-            size = n - sum(1 for kp in self.host_pot if kp == k)
-            pool = order[:, :size].copy()
-            for tid in self.nonhost[k]:
-                pick = (words[:, c] % np.uint64(size)).astype(np.intp)
-                pos[:, tid] = pool[rows, pick]
-                size -= 1
-                pool[rows, pick] = pool[:, size]
-                c += 1
-        return pos
+        def step(start, tids, pool_size, hosts=()):
+            masks = []
+            for w in sorted({field[t] // per_word for t in tids if t in field}):
+                ids = [t for t in tids if t in field and field[t] // per_word == w]
+                offs = np.array([[field[t] % per_word * n] for t in ids], dtype=np.int64)
+                check = any(field[t] in seen for t in ids)
+                masks.append((w, np.array(ids, dtype=np.intp), offs, check))
+            seen.update(field[t] for t in tids if t in field)
+            return _Step(
+                words=slice(start, start + len(tids)),
+                tids=tids,
+                moduli=np.arange(pool_size, pool_size - len(tids), -1, dtype=np.uint64)[:, None],
+                hosts=np.array(hosts, dtype=np.intp) if hosts else None,
+                masks=masks,
+            )
 
-    def _valid(self, pos: np.ndarray) -> np.ndarray:
-        L = pos.shape[0]
-        ok = np.ones(L, dtype=bool)
-        for ids in self.bound_ids:
-            groups = np.sort(pos[:, ids], axis=1)
-            ok &= ~(groups[:, 1:] == groups[:, :-1]).any(axis=1)
-        if self.euro_ids.size:
-            n = self.n
-            offsets = pos[:, self.euro_ids].astype(np.int64) + n * np.arange(L)[:, None]
+        # the host teams first, then the pots, most bound teams first; a
+        # pot of host teams only has nothing left to build
+        hosts = layout.host_order
+        self.steps = [step(0, hosts, n)] if hosts else []
+        starts = np.cumsum([len(hosts)] + [len(ids) for ids in layout.nonhost]).tolist()
+        for k in sorted(range(m), key=lambda k: -sum(t in field for t in layout.nonhost[k])):
+            tids = layout.nonhost[k]
+            pot_hosts = [t for t in hosts if instance.pot_of(t) == k + 1]
+            if tids:
+                self.steps.append(step(starts[k], tids, len(tids), pot_hosts))
+
+    def _round(self, words: np.ndarray):
+        """One proposal round over a (m*n, L) word block, one column per trial.
+
+        Returns (cols, pos): the block columns whose proposal is valid, and
+        their (m*n, L') team->group positions.
+        """
+        n = self.n
+        L = words.shape[1]
+        pos = np.empty((self.m * n, L), dtype=np.int8)
+        masks = [np.zeros(L, dtype=np.int64) for _ in range(self.nmasks)]
+        cols = np.arange(L)  # block column of each live proposal
+        for st in self.steps:
+            L = cols.size
+            if not L:
+                break
+            rows = np.arange(L)
+            if st.hosts is None:
+                pool = np.tile(np.arange(n, dtype=np.int8), (L, 1))
+            else:
+                # open groups in ascending order, as the scalar sampler lists them
+                taken = np.zeros((L, n), dtype=bool)
+                taken[rows, pos[st.hosts]] = True
+                pool = np.nonzero(~taken)[1].astype(np.int8).reshape(L, -1)
+            size = pool.shape[1]
+            block = words[st.words] if L == words.shape[1] else words[st.words, cols]
+            # pick-and-swap: pick i takes flat pool slot picks[i], whose
+            # entry is replaced by the row's last remaining one
+            picks = (block % st.moduli).view(np.intp)
+            picks += rows * size
+            flat = pool.ravel()
+            for i, tid in enumerate(st.tids):
+                pos[tid] = flat[picks[i]]
+                flat[picks[i]] = pool[:, size - 1 - i]
+            ok = None
+            for w, ids, offs, check in st.masks:
+                bits = (1 << (pos[ids] + offs)).sum(axis=0)
+                if check:
+                    clear = (masks[w] & bits) == 0
+                    ok = clear if ok is None else ok & clear
+                masks[w] |= bits
+            if ok is not None and not ok.all():
+                cols, pos = cols[ok], pos[:, ok]
+                masks = [mk[ok] for mk in masks]
+        if self.euro_ids.size and cols.size:
+            L = cols.size
+            offsets = pos[self.euro_ids].astype(np.intp) + n * np.arange(L)
             counts = np.bincount(offsets.ravel(), minlength=L * n).reshape(L, n)
-            ok &= ((counts >= self.lo) & (counts <= self.hi)).all(axis=1)
-        return ok
+            ok = ((counts >= self.lo) & (counts <= self.hi)).all(axis=1)
+            cols, pos = cols[ok], pos[:, ok]
+        return cols, pos
 
     def run_trials(self, seed: int, t_lo: int, t_hi: int, max_proposals: int = DEFAULT_PROPOSAL_CAP):
         """Accepted assignments for trials [t_lo, t_hi).
@@ -537,20 +589,32 @@ class VectorUniform:
         proposals = np.zeros(T, dtype=np.int64)
         live = np.arange(T)
         W = self.words
-        word_idx = np.arange(W, dtype=np.uint64)
+        word_idx = np.arange(W, dtype=np.uint64)[:, None]
         p = 0
         while live.size:
             if p >= max_proposals:
+                pending = ", ".join(str(t_lo + t) for t in live[:8].tolist())
                 raise ProposalBudgetError(
                     f"no valid assignment in {max_proposals} proposals "
-                    f"(scenario {self.constraints.scenario}, {live.size} trials pending)"
+                    f"(scenario {self.constraints.scenario}, {live.size} trials pending: "
+                    f"{pending}{', ...' if live.size > 8 else ''})"
                 )
-            words = words_np(keys[live][:, None], np.uint64(p * W) + word_idx[None, :])
-            pos = self._build_proposals(words)
-            good = self._valid(pos)
+            words = words_np(keys[live][None, :], np.uint64(p * W) + word_idx)
+            good, pos = self._round(words)
             done = live[good]
-            out_pos[done] = pos[good]
+            out_pos[done] = pos.T
             proposals[done] = p + 1
-            live = live[~good]
+            live = np.delete(live, good)
             p += 1
         return out_pos, proposals
+
+
+@dataclass
+class _Step:
+    """One placement step of a proposal round: the host teams, or one pot."""
+
+    words: slice  # word rows of its teams
+    tids: list  # its teams, in word order
+    moduli: np.ndarray  # (len(tids), 1): the pool size at each pick
+    hosts: np.ndarray | None  # host teams of the pot, whose groups are closed to it
+    masks: list  # (mask word, team ids, (k, 1) bit offsets, check) per word it touches

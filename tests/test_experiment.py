@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import drawlab as dl
+from drawlab import experiment
 from drawlab.experiment import strip_metadata
 
 
@@ -31,6 +32,16 @@ def test_run_scenario_rejects_bad_args(ihf):
         dl.run_scenario(ihf, 0, "uniform", 0, seed=1)
     with pytest.raises(ValueError):
         dl.run_scenario(ihf, 0, "drop", 100, seed=1)
+
+
+def test_sweep_rejects_bad_trials_before_any_shard_runs(ihf, monkeypatch):
+    def no_shard(args):
+        raise AssertionError("a shard ran")
+
+    monkeypatch.setattr(experiment, "_run_shard", no_shard)
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            dl.sweep(ihf, [0], ["uniform"], trials, 1)
 
 
 def test_run_scenario_infeasible():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import drawlab as dl
+from drawlab import mechanisms
 from drawlab.experiment import _merge_shards, _run_shard
 from drawlab.mechanisms import (
     DEFAULT_PROPOSAL_CAP,
@@ -128,14 +129,13 @@ def test_uniform_budget_exhaustion():
 
 
 def test_vector_uniform_equals_scalar(ihf):
-    for scenario in (0, 31):
+    for scenario in range(32):
         cs = dl.scenario_constraints(scenario)
-        vu = VectorUniform(ihf, cs)
-        pos, props = vu.run_trials(seed=21, t_lo=10, t_hi=60)
-        for t in (10, 23, 42, 59):
+        pos, props = VectorUniform(ihf, cs).run_trials(seed=21, t_lo=10, t_hi=14)
+        for t in range(10, 14):
             out = dl.draw_trial(ihf, cs, "uniform", 21, t)
-            assert _pos_of(ihf, out.assignment) == list(pos[t - 10])
-            assert out.proposals_used == props[t - 10]
+            assert _pos_of(ihf, out.assignment) == list(pos[t - 10]), (scenario, t)
+            assert out.proposals_used == props[t - 10], (scenario, t)
 
 
 def test_vector_uniform_equals_scalar_on_toys():
@@ -153,7 +153,15 @@ def test_vector_uniform_equals_scalar_on_toys():
         ],
         host_exclusion=["a", "d", "e"],
     )
-    for inst, scenario in ((hostless, 24), (hostless, 0), (hosty, 0)):
+    all_host_pot = dl.build_instance(
+        [
+            [("a", "Africa"), ("b", "Asia"), ("c", "Europe")],
+            [("d", "Africa"), ("e", "Asia"), ("f", "Europe")],
+        ],
+        host_exclusion=["a", "b", "c"],
+    )
+    cases = ((hostless, 24), (hostless, 0), (hosty, 0), (all_host_pot, 0), (all_host_pot, 24))
+    for inst, scenario in cases:
         cs = dl.scenario_constraints(scenario)
         vu = VectorUniform(inst, cs)
         pos, props = vu.run_trials(seed=14, t_lo=0, t_hi=30)
@@ -171,6 +179,90 @@ def test_vector_uniform_shard_invariance(ihf):
         [vu.run_trials(seed=3, t_lo=lo, t_hi=lo + 10)[0] for lo in range(0, 40, 10)]
     )
     assert (whole_pos == part_pos).all()
+
+
+def _hosted_uniform_case(rng):
+    """A random instance with host teams in several pots, and a scenario whose
+    proposals are accepted often enough for the scalar sampler to keep up."""
+    while True:
+        inst = random_instance(rng, max_pots=4, max_teams=5)
+        if len({inst.pot_of(t) for t in inst.host_exclusion}) < 2:
+            continue
+        cs = dl.scenario_constraints(rng.randrange(32))
+        try:
+            VectorUniform(inst, cs).run_trials(0, 0, 50, max_proposals=500)
+        except dl.ProposalBudgetError:
+            continue
+        return inst, cs
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**20),
+    t0=st.integers(0, 10**6),
+    cuts=st.lists(st.integers(1, 29), max_size=4),
+)
+def test_vector_uniform_equals_scalar_at_any_split(case, seed, t0, cuts):
+    inst, cs = _hosted_uniform_case(random.Random(case))
+    vu = VectorUniform(inst, cs)
+    T = 30
+    bounds = [0] + sorted(set(cuts)) + [T]
+    parts = [vu.run_trials(seed, t0 + a, t0 + b) for a, b in zip(bounds, bounds[1:])]
+    pos = np.vstack([p for p, _ in parts])
+    props = np.concatenate([n for _, n in parts])
+    whole_pos, whole_props = vu.run_trials(seed, t0, t0 + T)
+    assert (pos == whole_pos).all() and (props == whole_props).all()
+    for t in range(T):
+        out = dl.draw_trial(inst, cs, "uniform", seed, t0 + t)
+        assert _pos_of(inst, out.assignment) == pos[t].tolist()
+        assert out.proposals_used == props[t]
+
+
+def _infeasible_toy():
+    inst = dl.build_instance(
+        [[("a", "Africa"), ("b", "Africa")], [("c", "Africa"), ("d", "Africa")]]
+    )
+    return inst, dl.scenario_constraints(16)  # two Africans per group are unavoidable
+
+
+def test_vector_uniform_budget_error_after_exactly_the_cap(monkeypatch):
+    inst, cs = _infeasible_toy()
+    blocks = []
+    real = mechanisms.words_np
+    monkeypatch.setattr(mechanisms, "words_np", lambda *a: blocks.append(1) or real(*a))
+    with pytest.raises(dl.ProposalBudgetError, match=r"64 proposals .*3 trials pending: 5, 6, 7\)"):
+        VectorUniform(inst, cs).run_trials(1, 5, 8, max_proposals=64)
+    assert len(blocks) == 64
+
+
+def test_vector_uniform_budget_error_names_only_the_pending_trials(ihf):
+    vu = VectorUniform(ihf, dl.scenario_constraints(31))
+    _, props = vu.run_trials(7, 100, 140)
+    cap = int(np.sort(props)[-4])  # at most three trials need more
+    pending = [100 + i for i in np.nonzero(props > cap)[0].tolist()]
+    assert 0 < len(pending) <= 3
+    listed = ", ".join(map(str, pending))
+    with pytest.raises(dl.ProposalBudgetError, match=rf"{len(pending)} trials pending: {listed}\)"):
+        vu.run_trials(7, 100, 140, max_proposals=cap)
+
+
+def test_vector_uniform_cap_at_the_largest_need_changes_nothing(ihf):
+    vu = VectorUniform(ihf, dl.scenario_constraints(31))
+    pos, props = vu.run_trials(3, 0, 300)
+    cap = int(props.max())
+    capped_pos, capped_props = vu.run_trials(3, 0, 300, max_proposals=cap)
+    assert (capped_pos == pos).all() and (capped_props == props).all()
+    with pytest.raises(dl.ProposalBudgetError):
+        vu.run_trials(3, 0, 300, max_proposals=cap - 1)
+
+
+def test_vector_uniform_refuses_more_groups_than_a_mask_word_holds():
+    pots = [[(f"t{k}_{g}", "Africa") for g in range(65)] for k in range(2)]
+    inst = dl.build_instance(pots)
+    with pytest.raises(ValueError, match="at most 64 groups"):
+        VectorUniform(inst, dl.scenario_constraints(16))
+    VectorUniform(inst, dl.scenario_constraints(0))  # no bound confederation, no mask
 
 
 # ---------------------------------------------------------------------------
