@@ -36,6 +36,10 @@ MECHANISMS = ("uniform", "skip")
 _MECH_CODE = {"uniform": 1, "skip": 2}
 
 DEFAULT_PROPOSAL_CAP = 10**7
+# Uniform proposals per word block of a round: bounds the round's arrays,
+# so a batch's peak memory does not depend on how many of its trials are
+# still pending
+_ROUND_BLOCK = 8192
 
 
 @dataclass
@@ -599,12 +603,16 @@ class VectorUniform:
                     f"(scenario {self.constraints.scenario}, {live.size} trials pending: "
                     f"{pending}{', ...' if live.size > 8 else ''})"
                 )
-            words = words_np(keys[live][None, :], np.uint64(p * W) + word_idx)
-            good, pos = self._round(words)
-            done = live[good]
-            out_pos[done] = pos.T
-            proposals[done] = p + 1
-            live = np.delete(live, good)
+            rejected = []
+            for a in range(0, live.size, _ROUND_BLOCK):
+                part = live[a : a + _ROUND_BLOCK]
+                words = words_np(keys[part][None, :], np.uint64(p * W) + word_idx)
+                good, pos = self._round(words)
+                done = part[good]
+                out_pos[done] = pos.T
+                proposals[done] = p + 1
+                rejected.append(np.delete(part, good))
+            live = np.concatenate(rejected)
             p += 1
         return out_pos, proposals
 

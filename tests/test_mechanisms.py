@@ -257,6 +257,15 @@ def test_vector_uniform_cap_at_the_largest_need_changes_nothing(ihf):
         vu.run_trials(3, 0, 300, max_proposals=cap - 1)
 
 
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_vector_uniform_round_blocks_change_nothing(ihf, monkeypatch, block):
+    vu = VectorUniform(ihf, dl.scenario_constraints(17))
+    pos, props = vu.run_trials(5, 40, 340)
+    monkeypatch.setattr(mechanisms, "_ROUND_BLOCK", block)
+    blocked_pos, blocked_props = vu.run_trials(5, 40, 340)
+    assert (blocked_pos == pos).all() and (blocked_props == props).all()
+
+
 def test_vector_uniform_refuses_more_groups_than_a_mask_word_holds():
     pots = [[(f"t{k}_{g}", "Africa") for g in range(65)] for k in range(2)]
     inst = dl.build_instance(pots)
