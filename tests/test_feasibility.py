@@ -230,3 +230,32 @@ def test_completable_has_a_completable_extension():
             if found:
                 break
         assert found
+
+
+def test_checks_agree_with_oracle_rules():
+    """check_partial/check_full flag exactly the groups the oracle's rules reject."""
+    rng = random.Random(20251019)
+    for case in range(2000):
+        inst = random_instance(rng, max_pots=4, max_teams=5)
+        cs = dl.scenario_constraints(case % 32)
+        rules = _Rules(inst, cs)
+        full = dl.Assignment.empty(inst)
+        for k in range(inst.m):
+            ids = [t.id for t in inst.pot_teams(k + 1)]
+            rng.shuffle(ids)
+            full.slots[k] = ids
+        expect = {g for g in range(inst.n) if not rules.group_ok_full(full.group_members(g))}
+        assert {v.group for v in dl.check_full(inst, cs, full)} == expect
+        partial = full.copy()
+        keep = rng.random()
+        for row in partial.slots:
+            for g in range(inst.n):
+                if rng.random() > keep:
+                    row[g] = -1
+        flagged = {v.group for v in dl.check_partial(inst, cs, partial)}
+        expect = set()
+        for g in range(inst.n):
+            members = partial.group_members(g)
+            if not rules.group_ok_partial(members, inst.m - len(members)):
+                expect.add(g)
+        assert flagged == expect, (inst.to_document(), cs.scenario, partial.slots)
