@@ -53,7 +53,6 @@ from .metrics import (
     inequality,
     inequality_report,
     pair_matrices,
-    unattractive_stats,
 )
 from .model import (
     Assignment,
@@ -135,6 +134,5 @@ __all__ = [
     "skip_draw_with_orders",
     "sweep",
     "tradeoff_points",
-    "unattractive_stats",
     "uniform_draw",
 ]

@@ -157,8 +157,8 @@ def _merge_shards(parts):
     return counts, trials, hist, proposals, elapsed_ms
 
 
-def _result_from_counts(instance, scenario, mechanism, trials, seed, merged, elapsed_ms):
-    counts, _, hist, proposals, _ = merged
+def _result_from_counts(instance, scenario, mechanism, trials, seed, merged):
+    counts, _, hist, proposals, elapsed_ms = merged
     n, m = instance.n, instance.m
     probs = counts.astype(np.float64) / trials
     sq = float(np.square(probs).sum())
@@ -207,24 +207,8 @@ def run_scenario(
     max_proposals: int = DEFAULT_PROPOSAL_CAP,
 ) -> ScenarioResult:
     """Aggregate ``trials`` deterministic trials of one cell."""
-    if mechanism not in MECHANISMS:
-        raise ValueError(f"unknown mechanism {mechanism!r}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    t0 = time.perf_counter()
-    shards = _shard_ranges(trials, workers)
-    tasks = [
-        (instance, scenario, mechanism, seed, lo, hi, max_proposals)
-        for lo, hi in shards
-    ]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_shard, tasks))
-    else:
-        parts = [_run_shard(t) for t in tasks]
-    merged = _merge_shards(parts)
-    elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    return _result_from_counts(instance, scenario, mechanism, trials, seed, merged, elapsed_ms)
+    cells = [(scenario, mechanism)]
+    return _run_cells(instance, cells, trials, seed, workers, max_proposals)[0]
 
 
 def _shard_ranges(trials: int, workers: int):
@@ -249,31 +233,34 @@ def sweep(
     each cell on its own; workers only change wall time, never values.
     """
     cells = [(s, mech) for s in sorted(scenarios) for mech in sorted(mechanisms)]
+    return _run_cells(instance, cells, trials, seed, workers, max_proposals)
+
+
+def _run_cells(instance, cells, trials, seed, workers, max_proposals) -> list:
+    """One ScenarioResult per (scenario, mechanism) cell, in the given order.
+
+    Every cell is split into the same shards, and all shards of all cells
+    share one process pool.
+    """
     for _, mech in cells:
         if mech not in MECHANISMS:
             raise ValueError(f"unknown mechanism {mech!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    tasks = []
-    spans = []
-    for s, mech in cells:
-        shards = _shard_ranges(trials, workers)
-        spans.append((s, mech, len(shards)))
-        tasks.extend(
-            (instance, s, mech, seed, lo, hi, max_proposals) for lo, hi in shards
-        )
+    shards = _shard_ranges(trials, workers)
+    tasks = [
+        (instance, s, mech, seed, lo, hi, max_proposals) for s, mech in cells for lo, hi in shards
+    ]
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_shard, tasks))
     else:
         parts = [_run_shard(t) for t in tasks]
     results = []
-    i = 0
-    for s, mech, nshards in spans:
-        merged = _merge_shards(parts[i : i + nshards])
-        i += nshards
+    for i, (s, mech) in enumerate(cells):
         # a cell's time is the sum of its own shards' times
-        results.append(_result_from_counts(instance, s, mech, trials, seed, merged, merged[4]))
+        merged = _merge_shards(parts[i * len(shards) : (i + 1) * len(shards)])
+        results.append(_result_from_counts(instance, s, mech, trials, seed, merged))
     return results
 
 

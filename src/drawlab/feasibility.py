@@ -1,4 +1,11 @@
-"""Constraint checks, unattractive-match counting, and completability.
+"""Constraint bands, constraint checks, unattractive-match counting, and completability.
+
+Every draw constraint is a per-group band lo <= count <= hi on one set of
+teams (``constraint_bands``): A-D allow at most one team of a confederation
+per group, E keeps two or three European teams in every group, and the host
+rule keeps the host-excluded teams in distinct groups.  The checks here,
+both Uniform samplers and the completability look-ahead all read the bands;
+``oracle`` alone restates the rules independently.
 
 Violations are monotone in the partial order of assignments: placing more
 teams can only add forced violations, never remove them.  Completability
@@ -11,6 +18,7 @@ and lets results be memoised across queries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import IncompleteAssignmentError
 from .model import (
@@ -30,83 +38,72 @@ class Violation:
     detail: str
 
 
-def _bound_confeds(instance: Instance, constraints: ConstraintSet):
-    """Resolve active upper-bound constraints to confederation ids.
+@dataclass(frozen=True)
+class Band:
+    """Every group must hold between ``lo`` and ``hi`` of ``teams`` (team ids)."""
 
-    A constraint whose confederation does not exist in the instance is
-    vacuous and dropped here.
+    letter: str  # "A".."E" or "HOST"
+    label: str  # what the teams are, for violation details
+    teams: frozenset
+    lo: int
+    hi: int
+
+
+def constraint_bands(instance: Instance, constraints: ConstraintSet) -> tuple:
+    """The scenario's constraints as per-group bands, in the order A-D, E, HOST.
+
+    A-D are [0, 1] on their confederation, E is ``EUROPE_BOUNDS`` on the
+    instance's European confederation and HOST is [0, 1] on the
+    host-excluded teams.  A constraint whose confederation does not exist in
+    the instance is vacuous and dropped, and so is the host rule of an
+    instance without host-excluded teams.
     """
-    out = []
+
+    def members(conf: int) -> frozenset:
+        return frozenset(t.id for t in instance.teams if t.confederation == conf)
+
+    bands = []
     for letter in "ABCD":
         if letter in constraints:
             conf = instance.confederation_named(UPPER_BOUND_BINDINGS[letter])
             if conf is not None:
-                out.append((letter, conf.id))
-    return out
-
-
-def _europe_id(instance: Instance, constraints: ConstraintSet):
+                bands.append(Band(letter, conf.name, members(conf.id), 0, 1))
     if "E" in constraints and instance.europe is not None:
-        return instance.europe
-    return None
+        name = instance.confederations[instance.europe].name
+        bands.append(Band("E", name, members(instance.europe), *EUROPE_BOUNDS))
+    if instance.host_exclusion:
+        bands.append(Band("HOST", "host-excluded", instance.host_exclusion, 0, 1))
+    return tuple(bands)
 
 
 def check_full(instance, constraints, assignment) -> list:
     """All violations of a complete assignment (empty list = valid)."""
     if not assignment.is_complete():
         raise IncompleteAssignmentError("check_full requires a complete assignment")
-    return _check(instance, constraints, assignment, partial=False)
+    return check_partial(instance, constraints, assignment)
 
 
 def check_partial(instance, constraints, assignment) -> list:
     """Violations already forced by the placed teams of a partial assignment.
 
-    Upper bounds are flagged as soon as exceeded; the European lower bound
-    only when a group can no longer reach it with its remaining open slots.
+    A group breaks a band when it holds more than ``hi`` of the band's
+    teams, or when its count plus its open slots is below ``lo``.  On a
+    complete assignment these are all violations.
     """
-    return _check(instance, constraints, assignment, partial=True)
-
-
-def _check(instance, constraints, assignment, partial):
-    comp = composition(instance, assignment)
-    lo, hi = EUROPE_BOUNDS
-    europe = _europe_id(instance, constraints)
+    groups = [assignment.group_members(g) for g in range(instance.n)]
     violations = []
-    for letter, conf in _bound_confeds(instance, constraints):
-        cname = instance.confederations[conf].name
-        for g in range(instance.n):
-            cnt = comp.counts[g][conf]
-            if cnt > 1:
-                violations.append(
-                    Violation(letter, g, f"{cnt} {cname} teams in group {g}")
-                )
-    if europe is not None:
-        ename = instance.confederations[europe].name
-        for g in range(instance.n):
-            eur = comp.counts[g][europe]
-            open_slots = instance.m - comp.group_total(g)
-            if eur > hi:
-                violations.append(
-                    Violation("E", g, f"{eur} {ename} teams in group {g} (max {hi})")
-                )
-            elif eur + open_slots < lo:
+    for band in constraint_bands(instance, constraints):
+        for g, members in enumerate(groups):
+            count = sum(1 for tid in members if tid in band.teams)
+            open_slots = instance.m - len(members)
+            if count > band.hi or count + open_slots < band.lo:
                 violations.append(
                     Violation(
-                        "E", g, f"group {g} can reach at most {eur + open_slots} {ename} teams (min {lo})"
+                        band.letter,
+                        g,
+                        f"{count} {band.label} teams and {open_slots} open slots in "
+                        f"group {g} (band {band.lo}..{band.hi})",
                     )
-                )
-            elif not partial and eur < lo:
-                violations.append(
-                    Violation("E", g, f"{eur} {ename} teams in group {g} (min {lo})")
-                )
-    excl = instance.host_exclusion
-    if excl:
-        for g in range(instance.n):
-            members = [tid for tid in assignment.group_members(g) if tid in excl]
-            if len(members) > 1:
-                names = ", ".join(instance.teams[t].name for t in sorted(members))
-                violations.append(
-                    Violation("HOST", g, f"co-grouped host-excluded teams: {names}")
                 )
     return violations
 
@@ -121,22 +118,16 @@ def count_unattractive(instance, assignment) -> int:
 # ---------------------------------------------------------------------------
 # Completability: exact DFS over canonical constraint states.
 #
-# A group's constraint-relevant state is packed into one integer:
-#   bits 0..3   per active upper-bound constraint: 1 if the group already
-#               holds a team of that confederation
-#   bit  4      group holds a host-excluded team
-#   bits 5..7   European team count (0..7)
-#   bits 8..    per pot: 1 while the group's slot for that pot is open
-# Groups with equal packed state are interchangeable, so a search state is
-# the sorted tuple of group states plus the remaining team-type counts per
-# pot.  The DFS result for a canonical state is memoised for the lifetime
-# of the checker, which also amortises look-ahead across repeated draws.
+# A group's constraint-relevant state is packed into one integer: first one
+# counter field per band, in band order and hi.bit_length() bits wide, that
+# holds how many of the band's teams the group has; then one bit per pot,
+# set while the group's slot for that pot is open.  A team's type is the
+# set of bands that contain it.  Groups with equal packed state are
+# interchangeable, so a search state is the sorted tuple of group states
+# plus the remaining team-type counts per pot.  The DFS result for a
+# canonical state is memoised for the lifetime of the checker, which also
+# amortises look-ahead across repeated draws.
 # ---------------------------------------------------------------------------
-
-_B_HOST = 4
-_B_EUR = 5
-_EUR_MASK = 7 << _B_EUR
-_B_OPEN = 8
 
 
 class CompletabilityChecker:
@@ -147,73 +138,61 @@ class CompletabilityChecker:
         self.constraints = constraints
         self.n = instance.n
         self.m = instance.m
-        self.uppers = [conf for _, conf in _bound_confeds(instance, constraints)]
-        self.europe = _europe_id(instance, constraints)
-        self.lo, self.hi = EUROPE_BOUNDS
-        self.host = instance.host_exclusion
+        bands = constraint_bands(instance, constraints)
+        # (shift, value mask, lo, hi) of each band's counter field
+        self.fields = []
+        shift = 0
+        for band in bands:
+            width = band.hi.bit_length()
+            self.fields.append((shift, (1 << width) - 1, band.lo, band.hi))
+            shift += width
+        self.open_shift = shift
 
-        # team types: (upper bit mask, euro flag, host flag) -> dense code
-        upper_bit = {conf: 1 << i for i, conf in enumerate(self.uppers)}
+        # team types: the bands containing a team -> dense code
         type_of = {}
-        self.type_fields = []  # code -> (upmask, euro, host)
+        self.type_bands = []  # code -> indices of the bands containing the type
         self.team_type = []
         for t in instance.teams:
-            fields = (
-                upper_bit.get(t.confederation, 0),
-                1 if t.confederation == self.europe else 0,
-                1 if t.id in self.host else 0,
-            )
-            if fields not in type_of:
-                type_of[fields] = len(self.type_fields)
-                self.type_fields.append(fields)
-            self.team_type.append(type_of[fields])
-        self.ntypes = len(self.type_fields)
+            key = tuple(b for b, band in enumerate(bands) if t.id in band.teams)
+            if key not in type_of:
+                type_of[key] = len(self.type_bands)
+                self.type_bands.append(key)
+            self.team_type.append(type_of[key])
+        self.ntypes = len(self.type_bands)
         self.full_pot_counts = []
         for k in range(1, self.m + 1):
             row = [0] * self.ntypes
             for t in instance.pot_teams(k):
                 row[self.team_type[t.id]] += 1
             self.full_pot_counts.append(tuple(row))
-        # euro supply per type (0/1) for prune arithmetic
-        self._euro_types = [f[1] for f in self.type_fields]
+        # type codes of each band, for the prune's supply counts
+        self.band_types = [
+            [c for c, key in enumerate(self.type_bands) if b in key] for b in range(len(bands))
+        ]
 
-        self.empty_group_sig = ((1 << self.m) - 1) << _B_OPEN
+        self.empty_group_sig = ((1 << self.m) - 1) << self.open_shift
         self._memo = {}
         self._trans = {}
+        self._open_bands = {}  # remaining type counts -> _bands_to_place
 
     # -- packed-state helpers ------------------------------------------
 
     def place_sig(self, sig: int, type_code: int, pot_idx: int):
-        """Group state after placing a team type, or None if a bound breaks."""
+        """Group state after placing a team type, or None if a band's hi breaks."""
         key = (sig, type_code, pot_idx)
         cached = self._trans.get(key, -1)
         if cached != -1:
             return cached
-        upmask, euro, host = self.type_fields[type_code]
-        new = sig
-        ok = True
-        if upmask and sig & upmask:
-            ok = False
-        else:
-            new |= upmask
-        if ok and host:
-            if sig & (1 << _B_HOST):
-                ok = False
-            else:
-                new |= 1 << _B_HOST
-        if ok and euro:
-            cnt = (sig & _EUR_MASK) >> _B_EUR
-            if cnt + 1 > self.hi and self.europe is not None:
-                ok = False
-            else:
-                new += 1 << _B_EUR
         result = None
-        if ok:
-            open_bit = 1 << (_B_OPEN + pot_idx)
-            if not sig & open_bit:
-                result = None  # slot already filled
-            else:
-                result = new & ~open_bit
+        open_bit = 1 << (self.open_shift + pot_idx)
+        if sig & open_bit:  # else the slot is already filled
+            result = sig & ~open_bit
+            for b in self.type_bands[type_code]:
+                shift, mask, _, hi = self.fields[b]
+                if sig >> shift & mask >= hi:
+                    result = None
+                    break
+                result += 1 << shift
         self._trans[key] = result
         return result
 
@@ -228,7 +207,7 @@ class CompletabilityChecker:
                 tc = self.team_type[tid]
                 sig = self.place_sig(sigs[g], tc, k)
                 if sig is None:
-                    return None  # already violates an upper bound
+                    return None  # already breaks an upper bound
                 sigs[g] = sig
                 remaining[k][tc] -= 1
         return tuple(sorted(sigs)), tuple(tuple(r) for r in remaining)
@@ -261,7 +240,7 @@ class CompletabilityChecker:
         new_row = list(row)
         new_row[type_code] -= 1
         child_rem = remaining[:pot_idx] + (tuple(new_row),) + remaining[pot_idx + 1 :]
-        open_bit = 1 << (_B_OPEN + pot_idx)
+        open_bit = 1 << (self.open_shift + pot_idx)
         tried = set()
         for i, sig in enumerate(sigs):
             if sig in tried or not sig & open_bit:
@@ -276,74 +255,60 @@ class CompletabilityChecker:
         return False
 
     def _final_ok(self, sigs) -> bool:
-        if self.europe is None:
-            return True
-        lo = self.lo
-        return all((s & _EUR_MASK) >> _B_EUR >= lo for s in sigs)
+        return all(
+            sig >> shift & mask >= lo for shift, mask, lo, _ in self.fields if lo for sig in sigs
+        )
 
     def _prune_ok(self, sigs, remaining) -> bool:
-        # supply per type over all pots
-        supply = [0] * self.ntypes
-        for row in remaining:
-            for i, c in enumerate(row):
-                supply[i] += c
-        # each group can absorb at most one more team per bound confederation
-        for u in range(len(self.uppers)):
-            bit = 1 << u
-            need = sum(
-                c for i, c in enumerate(supply) if c and self.type_fields[i][0] & bit
-            )
-            if need:
-                free = sum(1 for s in sigs if not s & bit)
-                if need > free:
+        """False when some band can no longer be met, whatever the placements.
+
+        The band teams still to place (its supply) can only go to open slots
+        of the pots that still hold some, at most hi - count per group: every
+        group must still reach lo, the groups' total deficit below lo must
+        fit in the supply, and the supply must fit in what the groups can
+        absorb.
+        """
+        bands = self._open_bands.get(remaining)
+        if bands is None:
+            bands = self._open_bands[remaining] = self._bands_to_place(remaining)
+        for shift, mask, lo, hi, supply, pots in bands:
+            deficit = absorb = 0
+            for sig in sigs:
+                count = sig >> shift & mask
+                reach = (sig & pots).bit_count()
+                if count + reach < lo:
                     return False
-        host_supply = sum(
-            c for i, c in enumerate(supply) if c and self.type_fields[i][2]
-        )
-        if host_supply:
-            free = sum(1 for s in sigs if not s & (1 << _B_HOST))
-            if host_supply > free:
-                return False
-        if self.europe is not None:
-            euro_pots = [
-                any(c and self._euro_types[i] for i, c in enumerate(row))
-                for row in remaining
-            ]
-            euro_supply = sum(
-                c for row in remaining for i, c in enumerate(row) if self._euro_types[i]
-            )
-            deficit = 0
-            absorb = 0
-            for s in sigs:
-                eur = (s & _EUR_MASK) >> _B_EUR
-                open_mask = s >> _B_OPEN
-                reachable = eur
-                open_count = 0
-                for k in range(self.m):
-                    if open_mask & (1 << k):
-                        open_count += 1
-                        if euro_pots[k]:
-                            reachable += 1
-                if reachable < self.lo:
-                    return False
-                if eur < self.lo:
-                    deficit += self.lo - eur
-                absorb += min(open_count, self.hi - eur)
-            if deficit > euro_supply or euro_supply > absorb:
+                if count < lo:
+                    deficit += lo - count
+                room = hi - count
+                absorb += reach if reach < room else room
+            if deficit > supply or supply > absorb:
                 return False
         return True
 
+    def _bands_to_place(self, remaining) -> list:
+        """(field, supply, open-slot bits of its pots) of each band the prune checks.
 
-_checker_cache = {}
+        A band's supply is the number of its teams still to place; a band
+        with no supply and lo = 0 cannot be broken any more and is left out.
+        """
+        out = []
+        for types, (shift, mask, lo, hi) in zip(self.band_types, self.fields):
+            supply = pots = 0
+            for k, row in enumerate(remaining):
+                c = sum([row[i] for i in types])
+                if c:
+                    supply += c
+                    pots |= 1 << (self.open_shift + k)
+            if supply or lo:
+                out.append((shift, mask, lo, hi, supply, pots))
+        return out
 
 
+@lru_cache(maxsize=64)
 def get_checker(instance: Instance, constraints: ConstraintSet) -> CompletabilityChecker:
-    key = (id(instance), constraints.scenario)
-    checker = _checker_cache.get(key)
-    if checker is None or checker.instance is not instance:
-        checker = CompletabilityChecker(instance, constraints)
-        _checker_cache[key] = checker
-    return checker
+    """The shared checker, and so the shared look-ahead memo, of one cell's constraints."""
+    return CompletabilityChecker(instance, constraints)
 
 
 def completable(instance, constraints, assignment) -> bool:

@@ -24,12 +24,13 @@ one.  The brute-force ``oracle`` module is its independent reference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import InfeasibleScenarioError, ProposalBudgetError
-from .feasibility import _bound_confeds, _europe_id, get_checker
-from .model import Assignment, ConstraintSet, EUROPE_BOUNDS, Instance
+from .feasibility import constraint_bands, get_checker
+from .model import Assignment, ConstraintSet, Instance
 from .rng import RngStream, derive_key, trial_keys, words_np
 
 MECHANISMS = ("uniform", "skip")
@@ -111,63 +112,20 @@ class _ProposalLayout:
         return pos
 
 
-class _Validity:
-    """Constraint predicate on team->group vectors (host rule not included:
-    proposals satisfy it by construction)."""
-
-    def __init__(self, instance: Instance, constraints: ConstraintSet):
-        self.n = instance.n
-        self.bound_ids = [
-            [t.id for t in instance.teams if t.confederation == conf]
-            for _, conf in _bound_confeds(instance, constraints)
-        ]
-        europe = _europe_id(instance, constraints)
-        self.euro_ids = (
-            [t.id for t in instance.teams if t.confederation == europe]
-            if europe is not None
-            else []
-        )
-        self.lo, self.hi = EUROPE_BOUNDS
-
-    def pos_valid(self, pos) -> bool:
-        for ids in self.bound_ids:
-            seen = 0
-            for tid in ids:
-                bit = 1 << pos[tid]
-                if seen & bit:
-                    return False
-                seen |= bit
-        if self.euro_ids:
-            counts = [0] * self.n
-            for tid in self.euro_ids:
-                counts[pos[tid]] += 1
-            lo, hi = self.lo, self.hi
-            for c in counts:
-                if c < lo or c > hi:
-                    return False
-        return True
-
-
-_layout_cache = {}
-_validity_cache = {}
-
-
+@lru_cache(maxsize=64)
 def _layout(instance: Instance) -> _ProposalLayout:
-    lay = _layout_cache.get(id(instance))
-    if lay is None or lay.instance is not instance:
-        lay = _ProposalLayout(instance)
-        _layout_cache[id(instance)] = lay
-    return lay
+    return _ProposalLayout(instance)
 
 
-def _validity(instance: Instance, constraints: ConstraintSet) -> _Validity:
-    key = (id(instance), constraints.scenario)
-    hit = _validity_cache.get(key)
-    if hit is not None and hit[0] is instance:
-        return hit[1]
-    val = _Validity(instance, constraints)
-    _validity_cache[key] = (instance, val)
-    return val
+def _bands_hold(bands, pos, n: int) -> bool:
+    """True iff every group holds between lo and hi of every band's teams."""
+    for band in bands:
+        counts = [0] * n
+        for tid in band.teams:
+            counts[pos[tid]] += 1
+        if min(counts) < band.lo or max(counts) > band.hi:
+            return False
+    return True
 
 
 def _pos_to_assignment(instance: Instance, pos) -> Assignment:
@@ -190,10 +148,10 @@ def uniform_draw(
 ) -> DrawOutcome:
     """Accept the first host-feasible proposal that satisfies all constraints."""
     layout = _layout(instance)
-    validity = _validity(instance, constraints)
+    bands = constraint_bands(instance, constraints)
     for p in range(max_proposals):
         pos = layout.sample_pos(rng)
-        if validity.pos_valid(pos):
+        if _bands_hold(bands, pos, instance.n):
             return DrawOutcome(_pos_to_assignment(instance, pos), proposals_used=p + 1)
     raise ProposalBudgetError(
         f"no valid assignment in {max_proposals} proposals (scenario {constraints.scenario})"
@@ -413,16 +371,9 @@ class SkipEngine:
         return DrawOutcome(asg, proposals_used=1, trace=tuple(trace))
 
 
-_engine_cache = {}
-
-
+@lru_cache(maxsize=64)
 def get_skip_engine(instance: Instance, constraints: ConstraintSet) -> SkipEngine:
-    key = (id(instance), constraints.scenario)
-    eng = _engine_cache.get(key)
-    if eng is None or eng.instance is not instance:
-        eng = SkipEngine(instance, constraints)
-        _engine_cache[key] = eng
-    return eng
+    return SkipEngine(instance, constraints)
 
 
 def skip_draw(instance: Instance, constraints: ConstraintSet, rng: RngStream) -> DrawOutcome:
@@ -477,10 +428,10 @@ class VectorUniform:
     column of every team, and a pot's pool of open groups depends only on
     the host teams' groups, the pots of a proposal can be built in any
     order.  A round places the host teams, then builds the pots one at a
-    time, those with the most bound-confederation teams first; after each
-    pot it drops the proposals that already break a bound that pot's teams
+    time, those with the most teams of [0, 1] bands (A-D) first; after each
+    pot it drops the proposals that already break a band that pot's teams
     can break, so later pots are built only for the proposals still alive.
-    The European band is checked once, after the last pot.
+    Every other band (E) is checked once, after the last pot.
     """
 
     def __init__(self, instance: Instance, constraints: ConstraintSet):
@@ -490,16 +441,22 @@ class VectorUniform:
         self.n, self.m = n, m
         layout = _layout(instance)
         self.words = layout.words
-        validity = _validity(instance, constraints)
-        self.euro_ids = np.array(validity.euro_ids, dtype=np.intp)
-        self.lo, self.hi = validity.lo, validity.hi
-        # A-D: an n-bit group field per bound confederation, packed into
-        # int64 mask words; field f sits in word f // per_word
+        # proposals meet the host band by construction
+        bands = [b for b in constraint_bands(instance, constraints) if b.letter != "HOST"]
+        caps = [b.teams for b in bands if (b.lo, b.hi) == (0, 1)]
+        # every other band is checked once, on the finished proposals
+        self.counted = [
+            (np.array(sorted(b.teams), dtype=np.intp), b.lo, b.hi)
+            for b in bands
+            if (b.lo, b.hi) != (0, 1)
+        ]
+        # [0, 1] bands: an n-bit group field per band, packed into int64
+        # mask words; field f sits in word f // per_word
         per_word = 64 // n
-        if validity.bound_ids and not per_word:
+        if caps and not per_word:
             raise ValueError(f"the Uniform sampler supports at most 64 groups (got {n})")
-        field = {tid: f for f, ids in enumerate(validity.bound_ids) for tid in ids}
-        self.nmasks = -(-len(validity.bound_ids) // per_word) if per_word else 0
+        field = {tid: f for f, ids in enumerate(caps) for tid in ids}
+        self.nmasks = -(-len(caps) // per_word) if per_word else 0
         seen = set()  # fields with a team placed in an earlier step
 
         def step(start, tids, pool_size, hosts=()):
@@ -572,11 +529,13 @@ class VectorUniform:
             if ok is not None and not ok.all():
                 cols, pos = cols[ok], pos[:, ok]
                 masks = [mk[ok] for mk in masks]
-        if self.euro_ids.size and cols.size:
+        for ids, lo, hi in self.counted:
             L = cols.size
-            offsets = pos[self.euro_ids].astype(np.intp) + n * np.arange(L)
+            if not L:
+                break
+            offsets = pos[ids].astype(np.intp) + n * np.arange(L)
             counts = np.bincount(offsets.ravel(), minlength=L * n).reshape(L, n)
-            ok = ((counts >= self.lo) & (counts <= self.hi)).all(axis=1)
+            ok = ((counts >= lo) & (counts <= hi)).all(axis=1)
             cols, pos = cols[ok], pos[:, ok]
         return cols, pos
 

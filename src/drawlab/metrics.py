@@ -127,14 +127,6 @@ class MatrixAccumulator:
         self.counts += counts
         self.trials += trials
 
-    def merged(self, other: "MatrixAccumulator") -> "MatrixAccumulator":
-        if (self.m, self.n) != (other.m, other.n):
-            raise ValueError("accumulators have different shapes")
-        out = MatrixAccumulator(self.m, self.n)
-        out.counts = self.counts + other.counts
-        out.trials = self.trials + other.trials
-        return out
-
 
 def accumulate(acc: MatrixAccumulator, instance, assignment) -> MatrixAccumulator:
     """Fold one complete assignment into the accumulator and return it."""
@@ -208,23 +200,6 @@ def inequality_report(matrices: PairMatrixSet, tol: float = 1e-9) -> InequalityR
         ss = _square_sum(matrices.matrix(*pair))
         contributions[pair] = ss * Fraction(1, n) if isinstance(ss, Fraction) else ss / n
     return InequalityReport(i_hat, inequality(i_hat, matrices.n, tol=tol), contributions)
-
-
-def unattractive_stats(counts):
-    """Empirical distribution and mean of per-trial unattractive-match totals.
-
-    Returns (histogram, mean) where histogram maps a match count to its
-    probability.
-    """
-    counts = list(counts)
-    if not counts:
-        raise ValueError("no trials")
-    total = len(counts)
-    hist = {}
-    for c in counts:
-        hist[c] = hist.get(c, 0) + 1
-    mean = sum(c * k for c, k in hist.items()) / total
-    return {c: k / total for c, k in sorted(hist.items())}, mean
 
 
 def export_matrices(matrices: PairMatrixSet) -> str:

@@ -387,10 +387,6 @@ class GroupComposition:
         self.counts = tuple(tuple(row) for row in counts)  # (n groups, C confs)
         self.confederations = tuple(confederations)
 
-    def confederation_row(self, name: str):
-        idx = [c.name for c in self.confederations].index(name)
-        return tuple(row[idx] for row in self.counts)
-
     def group_total(self, group: int) -> int:
         return sum(self.counts[group])
 

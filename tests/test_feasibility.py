@@ -4,6 +4,7 @@ import pytest
 
 import drawlab as dl
 from drawlab.errors import IncompleteAssignmentError
+from drawlab.feasibility import constraint_bands, get_checker
 from drawlab.oracle import _Rules, _naive_completable
 
 from conftest import random_instance
@@ -259,3 +260,32 @@ def test_checks_agree_with_oracle_rules():
             if not rules.group_ok_partial(members, inst.m - len(members)):
                 expect.add(g)
         assert flagged == expect, (inst.to_document(), cs.scenario, partial.slots)
+
+
+def test_constraint_bands_of_ihf2025(ihf):
+    bands = constraint_bands(ihf, dl.scenario_constraints(31))
+    assert [(b.letter, b.label, b.lo, b.hi) for b in bands] == [
+        ("A", "Africa", 0, 1),
+        ("B", "Asia", 0, 1),
+        ("C", "North America", 0, 1),
+        ("D", "South America", 0, 1),
+        ("E", "Europe", 2, 3),
+        ("HOST", "host-excluded", 0, 1),
+    ]
+    assert bands[4].teams == {t.id for t in ihf.teams if t.confederation == ihf.europe}
+    assert bands[5].teams == ihf.host_exclusion
+    # scenario 0 keeps only the host rule; a missing confederation drops its band
+    assert [b.letter for b in constraint_bands(ihf, dl.scenario_constraints(0))] == ["HOST"]
+    inst = dl.build_instance([[("a", "Africa"), ("b", "Europe")], [("c", "Asia"), ("d", "Europe")]])
+    assert [b.letter for b in constraint_bands(inst, dl.scenario_constraints(31))] == ["A", "B"]
+
+
+def test_checker_cache_is_bounded_and_reuses_checkers():
+    rng = random.Random(5)
+    for _ in range(100):
+        get_checker(random_instance(rng), dl.scenario_constraints(rng.randrange(32)))
+    assert get_checker.cache_info().currsize <= 64
+    inst = random_instance(rng)
+    assert get_checker(inst, dl.scenario_constraints(17)) is get_checker(
+        inst, dl.scenario_constraints(17)
+    )

@@ -138,27 +138,6 @@ def test_accumulate_requires_complete(ihf):
         dl.accumulate(acc, ihf, dl.Assignment.empty(ihf))
 
 
-def test_merge_equals_sequential(ihf):
-    rng = random.Random(3)
-    stream_positions = []
-    for _ in range(12):
-        pos = []
-        for k in range(ihf.m):
-            groups = list(range(ihf.n))
-            rng.shuffle(groups)
-            pos.extend(groups)
-        stream_positions.append(pos)
-    a = dl.MatrixAccumulator(ihf.m, ihf.n)
-    b = dl.MatrixAccumulator(ihf.m, ihf.n)
-    both = dl.MatrixAccumulator(ihf.m, ihf.n)
-    for i, pos in enumerate(stream_positions):
-        (a if i < 5 else b).add_pos(pos)
-        both.add_pos(pos)
-    merged = a.merged(b)
-    assert merged.trials == both.trials == 12
-    assert (merged.counts == both.counts).all()
-
-
 def test_add_pos_batch_matches_scalar(ihf):
     rng = random.Random(17)
     rows = []
@@ -196,14 +175,6 @@ def test_empirical_matrices_doubly_stochastic(ihf):
     ms = dl.pair_matrices(acc)
     ms.check_doubly_stochastic(tol=1e-9)
     assert ms.stochastic_error() < 1e-12
-
-
-def test_unattractive_stats():
-    hist, mean = dl.unattractive_stats([12, 14, 14, 16])
-    assert hist == {12: 0.25, 14: 0.5, 16: 0.25}
-    assert mean == 14.0
-    with pytest.raises(ValueError):
-        dl.unattractive_stats([])
 
 
 def test_inequality_report_contributions():
