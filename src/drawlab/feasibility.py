@@ -174,6 +174,7 @@ class CompletabilityChecker:
         self._memo = {}
         self._trans = {}
         self._open_bands = {}  # remaining type counts -> _bands_to_place
+        self._shared = {}
 
     # -- packed-state helpers ------------------------------------------
 
@@ -286,12 +287,14 @@ class CompletabilityChecker:
                 return False
         return True
 
-    def _bands_to_place(self, remaining) -> list:
+    def _bands_to_place(self, remaining) -> tuple:
         """(field, supply, open-slot bits of its pots) of each band the prune checks.
 
         A band's supply is the number of its teams still to place; a band
         with no supply and lo = 0 cannot be broken any more and is left out.
+        Many remaining counts give equal tuples, so they are shared.
         """
+        share = self._shared.setdefault
         out = []
         for types, (shift, mask, lo, hi) in zip(self.band_types, self.fields):
             supply = pots = 0
@@ -301,8 +304,10 @@ class CompletabilityChecker:
                     supply += c
                     pots |= 1 << (self.open_shift + k)
             if supply or lo:
-                out.append((shift, mask, lo, hi, supply, pots))
-        return out
+                band = (shift, mask, lo, hi, supply, pots)
+                out.append(share(band, band))
+        out = tuple(out)
+        return share(out, out)
 
 
 @lru_cache(maxsize=64)
