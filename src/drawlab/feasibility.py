@@ -174,7 +174,7 @@ class CompletabilityChecker:
         self._memo = {}
         self._trans = {}
         self._open_bands = {}  # remaining type counts -> _bands_to_place
-        self._shared = {}
+        self._shared = {}  # one copy of each equal prune table
 
     # -- packed-state helpers ------------------------------------------
 
