@@ -173,6 +173,7 @@ class CompletabilityChecker:
         self.empty_group_sig = ((1 << self.m) - 1) << self.open_shift
         self._memo = {}
         self._trans = {}
+        self._tuples = {}  # one shared copy of each remaining-counts tuple and row
         self._open_bands = {}  # remaining type counts -> _bands_to_place
         self._shared = {}  # one copy of each equal prune table
 
@@ -196,6 +197,19 @@ class CompletabilityChecker:
                 result += 1 << shift
         self._trans[key] = result
         return result
+
+    def take(self, remaining, pot_idx: int, type_code: int):
+        """``remaining`` less one team of a type in one pot, as a shared tuple.
+
+        Memo keys, the look-ahead search and the Skip engine's states hold
+        one copy of each distinct remaining-counts tuple and row.
+        """
+        share = self._tuples.setdefault
+        row = list(remaining[pot_idx])
+        row[type_code] -= 1
+        row = tuple(row)
+        child = remaining[:pot_idx] + (share(row, row),) + remaining[pot_idx + 1 :]
+        return share(child, child)
 
     def state_of(self, assignment: Assignment):
         """Canonical (group sigs, remaining type counts) of a partial assignment."""
@@ -236,11 +250,8 @@ class CompletabilityChecker:
             return self._final_ok(sigs)
         if not self._prune_ok(sigs, remaining):
             return False
-        row = remaining[pot_idx]
-        type_code = next(i for i, c in enumerate(row) if c)
-        new_row = list(row)
-        new_row[type_code] -= 1
-        child_rem = remaining[:pot_idx] + (tuple(new_row),) + remaining[pot_idx + 1 :]
+        type_code = next(i for i, c in enumerate(remaining[pot_idx]) if c)
+        child_rem = self.take(remaining, pot_idx, type_code)
         open_bit = 1 << (self.open_shift + pot_idx)
         tried = set()
         for i, sig in enumerate(sigs):

@@ -15,10 +15,13 @@ word for word.  Every team of a proposal reads a fixed word of its stream,
 so ``VectorUniform`` may build the pots in any order: it builds the most
 constrained pots first and drops a rejected proposal as soon as a bound
 breaks, without building its remaining pots.  Skip has a single
-implementation, the batch kernel of
-``SkipEngine``: Monte Carlo cells run it on batches of trials, and single
-draws (``skip_draw``, ``draw_trial``, pinned orders) run it on a batch of
-one.  The brute-force ``oracle`` module is its independent reference.
+implementation, the batch kernel of ``SkipEngine``: every trial carries the
+id of its canonical look-ahead state, and every placement attempt is
+resolved through a per-engine transition table that caches what the
+completability checker decided.  Monte Carlo cells run the kernel on
+batches of trials, and single draws (``skip_draw``, ``draw_trial``, pinned
+orders) run it on a batch of one.  The brute-force ``oracle`` module is its
+independent reference.
 """
 
 from __future__ import annotations
@@ -163,59 +166,23 @@ def uniform_draw(
 # ---------------------------------------------------------------------------
 
 
-# Keys of a placement step are deduplicated before their Python-level
-# lookups only above this count: for fewer keys the sort costs more than the
-# lookups it saves.
-_DEDUP_MIN = 16
-
-
-def _distinct(keys: np.ndarray):
-    """(first, inverse) of the distinct entries of a 1-D key array.
-
-    ``values[first]`` holds one value per distinct key and
-    ``values[first][inverse]`` restores every entry.  Few keys are all kept.
-    """
-    if keys.size <= _DEDUP_MIN:
-        return slice(None), slice(None)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return first, inverse.ravel()
-
-
-def _key_words(radices):
-    """Split columns with the given radices into runs that pack into one uint64.
-
-    Returns (start, stop, weights) per word: the word is the mixed-radix
-    number sum(col * weight) over columns start..stop-1.
-    """
-    words = []
-    start = 0
-    while start < len(radices):
-        weights = []
-        span = 1
-        stop = start
-        while stop < len(radices) and span * radices[stop] <= 1 << 64:
-            weights.append(span)
-            span *= radices[stop]
-            stop += 1
-        if stop == start:
-            raise ValueError(f"radix {radices[start]} does not fit a 64-bit key word")
-        words.append((start, stop, np.array(weights, dtype=np.uint64)))
-        start = stop
-    return words
-
-
 class SkipEngine:
     """Skip placement with exact completability look-ahead, batched across trials.
 
-    All trials of a batch step through the m*n placements together.  At each
-    step every pending trial tries its next open group (in label order): the
-    group's new signature comes from the checker's ``place_sig``, and the
-    child state (sorted group signatures plus the pot's remaining type
-    counts) is packed into integer key words.  Distinct keys are looked up
-    once each through ``completable_state``, so the checker's memo stays the
-    only record of completability and is shared across batches: states
-    repeat massively over a Monte Carlo run, so after a short warm-up almost
-    every look-ahead is a dictionary hit.
+    All trials of a batch step through the m*n placements together, each
+    carrying the id of its canonical look-ahead state: the sorted group
+    signatures plus the remaining type counts, interned per engine, with
+    id 0 for the empty assignment.  Placing a team of type tc into a group
+    of signature s has an outcome that depends on (state, s, tc) alone: the
+    group's new signature and the child state's id, or a failure when a
+    band's hi breaks or the child is not completable.  So every pending
+    trial's attempt is one int64 code, resolved for the whole step with
+    ``np.searchsorted`` in a per-engine transition table.  Only codes never
+    seen before go through the checker, once each: ``place_sig`` and
+    ``completable_state``, whose memo stays the only record of
+    completability.  The table is a cache derived from it and is kept
+    across batches, so after a short warm-up a step is a few array
+    operations.
     """
 
     def __init__(self, instance: Instance, constraints: ConstraintSet):
@@ -229,42 +196,42 @@ class SkipEngine:
             [[t.id for t in instance.pot_teams(k)] for k in range(1, m + 1)],
             dtype=np.min_scalar_type(m * n - 1),
         )
-        self.team_type = np.array(checker.team_type, dtype=np.intp)
-        self.full_counts = np.array(checker.full_pot_counts, dtype=np.int64)
-        # remaining-count templates around the pot currently being drawn
-        empty = tuple([0] * checker.ntypes)
-        full = checker.full_pot_counts
-        self._prefix = [tuple(empty for _ in range(k)) for k in range(m + 1)]
-        self._suffix = [tuple(full[k:]) for k in range(m + 1)]
-        # state key columns: n signatures of 8+m bits, then ntypes counts 0..n
-        sig_radix = 1 << checker.empty_group_sig.bit_length()
-        self._words = _key_words([sig_radix] * n + [n + 1] * checker.ntypes)
-        # memo keys share one int object per signature value, as place_sig's do
-        self._ints = {}
+        self.team_type = np.array(checker.team_type, dtype=np.int64)
+        # attempt code: (state * R + signature) * ntypes + type, with every
+        # signature below R = 1 << sig_bits; outcome: child << sig_bits |
+        # new signature, or -1
+        self._sig_bits = checker.empty_group_sig.bit_length()
+        self._span = checker.ntypes << self._sig_bits  # codes per state
+        # sorted codes and their outcomes; the sentinel is above every code
+        self._codes = np.array([np.iinfo(np.int64).max])
+        self._outcomes = np.array([-1])
         state = checker.state_of(Assignment.empty(instance))
-        self.feasible = state is not None and checker.completable_state(*state)
+        self._states = [state]  # id -> (sorted signatures, remaining counts)
+        self._pots = [0]  # id -> the pot being drawn
+        self._ids = {state: 0}
+        self.feasible = checker.completable_state(*state)
 
     def draw_orders(self, keys, offset: int = 0) -> np.ndarray:
         """Per-pot draw orders of a batch of streams: (T, m, n) team ids.
 
         Pot k consumes words offset + k*n .. offset + k*n + n-1 of each
         stream, with the same pick-and-swap as ``RngStream.draw_order``.
+        All pots of all trials pick together, one pick index at a time.
         """
         keys = np.asarray(keys, dtype=np.uint64)[:, None]
         T = keys.shape[0]
-        n = self.n
-        rows = np.arange(T)
-        orders = np.empty((T, self.m, n), dtype=self.pot_ids.dtype)
-        idx = np.arange(n, dtype=np.uint64)
-        for k in range(self.m):
-            words = words_np(keys, np.uint64(offset + k * n) + idx)
-            pool = np.tile(self.pot_ids[k], (T, 1))
-            for i in range(n):
-                size = n - i
-                j = (words[:, i] % np.uint64(size)).astype(np.intp)
-                orders[:, k, i] = pool[rows, j]
-                pool[rows, j] = pool[:, size - 1]
-        return orders
+        m, n = self.m, self.n
+        words = words_np(keys, np.uint64(offset) + np.arange(m * n, dtype=np.uint64))
+        # pick i of a pot indexes its pool of the n - i teams not yet drawn
+        picks = (words.reshape(T * m, n) % np.arange(n, 0, -1, dtype=np.uint64)).astype(np.intp)
+        pool = np.tile(self.pot_ids, (T, 1))  # row t*m + k: pot k of trial t
+        rows = np.arange(T * m)
+        orders = np.empty_like(pool)
+        for i in range(n):
+            j = picks[:, i]
+            orders[:, i] = pool[rows, j]
+            pool[rows, j] = pool[:, n - 1 - i]
+        return orders.reshape(T, m, n)
 
     def place_orders(self, orders) -> np.ndarray:
         """Deterministic Skip placement of a batch of draw orders.
@@ -278,72 +245,84 @@ class SkipEngine:
             )
         orders = np.asarray(orders)
         T = orders.shape[0]
-        n = self.n
+        n, nt, bits = self.n, self.checker.ntypes, self._sig_bits
+        low = (1 << bits) - 1
         rows = np.arange(T)
         groups = np.arange(n)
         sigs = np.full((T, n), self.checker.empty_group_sig, dtype=np.int64)
+        state = np.zeros(T, dtype=np.int64)
         pos = np.full((T, self.m * n), -1, dtype=np.int8)
         for k in range(self.m):
             filled = np.zeros((T, n), dtype=bool)
-            rem = np.tile(self.full_counts[k], (T, 1))
             for j in range(n):
                 tid = orders[:, k, j]
-                tc = self.team_type[tid]
-                rem[rows, tc] -= 1
                 live = rows
                 g = filled.argmin(axis=1)  # first open group
-                while live.size:
-                    new = self._place_sigs(sigs[live, g], tc[live], k)
-                    ok = new >= 0
-                    if ok.any():
-                        cand = live[ok]
-                        child = sigs[cand]
-                        child[np.arange(cand.size), g[ok]] = new[ok]
-                        child.sort(axis=1)
-                        ok[ok] = self._completable(child, rem[cand], k)
-                        done, gd = live[ok], g[ok]
-                        sigs[done, gd] = new[ok]
-                        filled[done, gd] = True
-                        pos[done, tid[done]] = gd
-                    live, g = live[~ok], g[~ok]
-                    if live.size:
-                        later = ~filled[live] & (groups > g[:, None])
-                        g = later.argmax(axis=1)
-                        if not later[np.arange(live.size), g].all():
-                            raise InfeasibleScenarioError(
-                                "skip draw dead end; completability look-ahead violated"
-                            )
+                base = state * self._span + self.team_type[tid]
+                while True:
+                    out = self._outcomes_of(base + sigs[live, g] * nt)
+                    ok = out >= 0
+                    every = ok.all()  # the common case: no trial tries a later group
+                    done, gd = (live, g) if every else (live[ok], g[ok])
+                    out = out if every else out[ok]
+                    sigs[done, gd] = out & low
+                    state[done] = out >> bits
+                    filled[done, gd] = True
+                    pos[done, tid[done]] = gd
+                    if every:
+                        break
+                    live, g, base = live[~ok], g[~ok], base[~ok]
+                    later = ~filled[live] & (groups > g[:, None])
+                    g = later.argmax(axis=1)
+                    if not later[np.arange(live.size), g].all():
+                        raise InfeasibleScenarioError(
+                            "skip draw dead end; completability look-ahead violated"
+                        )
         return pos
 
-    def _place_sigs(self, sigs: np.ndarray, type_codes: np.ndarray, k: int) -> np.ndarray:
-        """The checker's ``place_sig`` per (signature, type) pair; -1 where it is None."""
-        nt = self.checker.ntypes
-        codes = sigs * nt + type_codes
-        first, inverse = _distinct(codes)
-        place = self.checker.place_sig
-        new = [place(c // nt, c % nt, k) for c in codes[first].tolist()]
-        return np.array([-1 if s is None else s for s in new], dtype=np.int64)[inverse]
+    def _outcomes_of(self, codes: np.ndarray) -> np.ndarray:
+        """The table's outcome of every attempt code, resolving unseen codes first."""
+        at = np.searchsorted(self._codes, codes)
+        out = self._outcomes[at]
+        miss = self._codes[at] != codes
+        if miss.any():
+            new, inverse = np.unique(codes[miss], return_inverse=True)
+            resolved = np.array(self._resolve(new.tolist()), dtype=np.int64)
+            out[miss] = resolved[inverse]
+            # merged at their sorted positions; the table is never re-sorted
+            where = np.searchsorted(self._codes, new)
+            self._codes = np.insert(self._codes, where, new)
+            self._outcomes = np.insert(self._outcomes, where, resolved)
+        return out
 
-    def _completable(self, child: np.ndarray, rem: np.ndarray, k: int) -> np.ndarray:
-        """Look-ahead verdict per row of sorted child signatures and pot-k counts."""
-        states = np.concatenate([child, rem], axis=1)
-        first = inverse = slice(None)
-        if states.shape[0] > _DEDUP_MIN:
-            # pack each state into key words (values are >= 0, so the bits
-            # of the int64 columns are their uint64 values)
-            cols = states.view(np.uint64)
-            keys = np.stack([cols[:, a:b] @ w for a, b, w in self._words], axis=1)
-            row_key = np.dtype((np.void, keys.itemsize * keys.shape[1]))  # a row as one key
-            first, inverse = _distinct(keys.view(row_key).ravel())
-        completable = self.checker.completable_state
-        intern = self._ints.setdefault
-        prefix, suffix = self._prefix[k], self._suffix[k + 1]
-        n = self.n
-        verdicts = [
-            completable(tuple([intern(s, s) for s in row[:n]]), prefix + (tuple(row[n:]),) + suffix)
-            for row in states[first].tolist()
-        ]
-        return np.array(verdicts, dtype=bool)[inverse]
+    def _resolve(self, codes) -> list:
+        """Outcomes of new attempt codes, from the checker."""
+        checker = self.checker
+        place, take, completable = checker.place_sig, checker.take, checker.completable_state
+        span, nt, bits = self._span, checker.ntypes, self._sig_bits
+        states, pots, ids = self._states, self._pots, self._ids
+        out = []
+        for code in codes:
+            state, rest = divmod(code, span)
+            sig, tc = divmod(rest, nt)
+            k = pots[state]
+            new = place(sig, tc, k)
+            if new is None:
+                out.append(-1)
+                continue
+            sigs, remaining = states[state]
+            i = sigs.index(sig)
+            rem = take(remaining, k, tc)
+            child = (tuple(sorted(sigs[:i] + (new,) + sigs[i + 1 :])), rem)
+            if not completable(*child):
+                out.append(-1)
+                continue
+            child_id = ids.setdefault(child, len(states))
+            if child_id == len(states):
+                states.append(child)
+                pots.append(k if any(rem[k]) else k + 1)
+            out.append(child_id << bits | new)
+        return out
 
     def run_trials(self, seed: int, t_lo: int, t_hi: int) -> np.ndarray:
         """Skip assignments (T, m*n) of trials [t_lo, t_hi) of one cell."""

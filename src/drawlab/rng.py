@@ -28,8 +28,15 @@ def mix64(z: int) -> int:
 
 
 def mix64_np(z: np.ndarray) -> np.ndarray:
-    """Vectorised splitmix64 finalizer; matches :func:`mix64` word for word."""
-    z = z.astype(np.uint64, copy=True)
+    """Vectorised splitmix64 finalizer; matches :func:`mix64` word for word.
+
+    Returns a new array and leaves ``z`` unchanged.
+    """
+    return _mix64_inplace(np.array(z, dtype=np.uint64))
+
+
+def _mix64_inplace(z: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer applied in place to a uint64 array, which it returns."""
     with np.errstate(over="ignore"):
         z ^= z >> np.uint64(30)
         z *= np.uint64(_MIX_A)
@@ -56,8 +63,9 @@ def trial_keys(cell_key: int, trials: np.ndarray) -> np.ndarray:
     """Vectorised ``derive_key(seed, ..., t)`` given the already-derived cell key."""
     t = trials.astype(np.uint64, copy=False)
     with np.errstate(over="ignore"):
-        inner = mix64_np(t + np.uint64(_GAMMA))
-    return mix64_np(np.uint64(cell_key) ^ inner)
+        inner = _mix64_inplace(t + np.uint64(_GAMMA))
+    inner ^= np.uint64(cell_key)
+    return _mix64_inplace(inner)
 
 
 def words_np(keys: np.ndarray, index: np.ndarray | int) -> np.ndarray:
@@ -69,7 +77,7 @@ def words_np(keys: np.ndarray, index: np.ndarray | int) -> np.ndarray:
     idx = np.asarray(index, dtype=np.uint64)
     with np.errstate(over="ignore"):
         ctr = np.uint64(_GAMMA) * (idx + np.uint64(1))
-        return mix64_np(np.asarray(keys, dtype=np.uint64) + ctr)
+        return _mix64_inplace(np.asarray(keys, dtype=np.uint64) + ctr)
 
 
 class RngStream:

@@ -54,6 +54,20 @@ def test_run_scenario_infeasible():
         dl.run_scenario(inst, 16, "uniform", 10, seed=0, max_proposals=50)
 
 
+def test_budget_error_reaches_the_caller_through_a_worker_pool():
+    inst = dl.build_instance(
+        [[("a", "Africa"), ("b", "Africa")], [("c", "Africa"), ("d", "Africa")]]
+    )
+    pending = r"50 proposals \(scenario 16, 10 trials pending: 0, 1, 2, 3, 4, 5, 6, 7, \.\.\.\)"
+    for run in (
+        lambda: dl.run_scenario(inst, 16, "uniform", 20, seed=0, workers=2, max_proposals=50),
+        lambda: dl.sweep(inst, [16], ["uniform"], 20, 0, workers=2, max_proposals=50),
+    ):
+        with pytest.raises(dl.ProposalBudgetError, match=pending) as err:
+            run()
+        assert type(err.value) is dl.ProposalBudgetError
+
+
 @pytest.mark.parametrize("mechanism", ["uniform", "skip"])
 def test_sharded_equals_serial(ihf, mechanism):
     serial = dl.run_scenario(ihf, 17, mechanism, 3000, seed=9, workers=1)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import drawlab as dl
-from drawlab import mechanisms
+from drawlab import feasibility, mechanisms
 from drawlab.experiment import _merge_shards, _run_shard
 from drawlab.mechanisms import (
     DEFAULT_PROPOSAL_CAP,
@@ -433,6 +433,33 @@ def test_skip_results_do_not_depend_on_batch_or_shard_split(case, seed, cuts):
     merged = _merge_shards([_run_shard(task + (a, b, DEFAULT_PROPOSAL_CAP)) for a, b in spans])
     assert (serial[0] == merged[0]).all() and serial[1] == merged[1] == T
     assert np.trim_zeros(serial[2], "b").tolist() == np.trim_zeros(merged[2], "b").tolist()
+
+
+def test_skip_transition_table_is_a_pure_cache(ihf):
+    # positions must not depend on what the engine resolved before
+    rng = random.Random(12)
+    while True:
+        inst = random_instance(rng, max_pots=4, max_teams=6)
+        cs = dl.scenario_constraints(rng.randrange(1, 32))
+        if get_skip_engine(inst, cs).feasible:
+            break
+    cases = [(ihf, dl.scenario_constraints(31)), (inst, cs)]
+
+    def fresh_caches():
+        get_skip_engine.cache_clear()
+        feasibility.get_checker.cache_clear()
+
+    fresh_caches()
+    cold = [get_skip_engine(i, c).run_trials(3, 1000, 1400).tobytes() for i, c in cases]
+    fresh_caches()
+    for i, c in cases:
+        engine = get_skip_engine(i, c)
+        engine.run_trials(8, 0, 1500)
+        engine.run_trials(3, 1200, 1900)
+        for t in range(5):
+            dl.draw_trial(i, c, "skip", 4, t)
+    warm = [get_skip_engine(i, c).run_trials(3, 1000, 1400).tobytes() for i, c in cases]
+    assert warm == cold
 
 
 # ---------------------------------------------------------------------------

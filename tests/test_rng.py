@@ -58,6 +58,23 @@ def test_mix64_vectorised_matches_scalar(z):
     assert int(mix64_np(np.array([z], dtype=np.uint64))[0]) == mix64(z)
 
 
+def test_mix64_np_leaves_its_input_unchanged():
+    rng = np.random.default_rng(8)
+    words = np.concatenate(
+        [np.array([0, 2**64 - 1], dtype=np.uint64), rng.integers(0, 2**64, 62, dtype=np.uint64)]
+    )
+    before = words.copy()
+    got = mix64_np(words)
+    assert (words == before).all()
+    assert got.tolist() == [mix64(z) for z in before.tolist()]
+    # a second call on the same input gives the same words
+    assert (mix64_np(words) == got).all()
+    # neither do the stream-word and trial-key builders change their inputs
+    words_np(words, np.arange(3, dtype=np.uint64)[:, None])
+    trial_keys(7, words)
+    assert (words == before).all()
+
+
 def test_randbelow_bounds_and_error():
     s = RngStream(5)
     vals = [s.randbelow(7) for _ in range(500)]
