@@ -3,8 +3,8 @@
 Runs the headline cells at full scale: the
 unconstrained match-count distribution, feasible proportions, Skip
 distortion ratios, and the probability-table spot checks. Slow by design
-(10-15 minutes on one core); the acceptance test suite runs the same cells
-with hard tolerances.
+(about 75 s on one core of a 2-CPU machine); the acceptance test suite runs
+the same cells with hard tolerances.
 """
 
 import time

@@ -4,8 +4,9 @@ Produces the attractiveness/fairness trade-off table, the Skip-vs-Uniform
 distortion ratios, and the Pareto split, then writes plot-ready CSV files
 (sweep.csv, tradeoff.csv) to the working directory.
 
-At the default 20k trials per cell the sweep takes a couple of minutes;
-pass a different trial count as the first argument if wanted.
+At the default 20k trials per cell the sweep takes about 15 s on one core
+of a 2-CPU machine; pass a different trial count as the first argument if
+wanted.
 """
 
 import sys

@@ -38,16 +38,13 @@ from .feasibility import (
 from .mechanisms import (
     DrawOutcome,
     draw_trial,
-    sample_host_feasible,
     skip_draw,
     skip_draw_with_orders,
-    uniform_draw,
 )
 from .metrics import (
     InequalityReport,
     MatrixAccumulator,
     PairMatrixSet,
-    accumulate,
     export_matrices,
     hhi_index,
     inequality,
@@ -102,7 +99,6 @@ __all__ = [
     "Team",
     "TradeoffPoint",
     "Violation",
-    "accumulate",
     "build_instance",
     "check_full",
     "check_partial",
@@ -128,11 +124,9 @@ __all__ = [
     "parse_results",
     "result_matrices",
     "run_scenario",
-    "sample_host_feasible",
     "scenario_constraints",
     "skip_draw",
     "skip_draw_with_orders",
     "sweep",
     "tradeoff_points",
-    "uniform_draw",
 ]

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ResultFormatError
-from .mechanisms import DEFAULT_PROPOSAL_CAP, MECHANISMS, VectorUniform, get_skip_engine
-from .metrics import MatrixAccumulator, PairMatrixSet, pair_matrices, pot_pairs
+from .mechanisms import DEFAULT_PROPOSAL_CAP, MECHANISMS, get_skip_engine, get_uniform_sampler
+from .metrics import MatrixAccumulator, PairMatrixSet, pair_matrices
 from .model import Instance, scenario_constraints
 
 RESULTS_SCHEMA = "drawlab.results/1"
@@ -104,7 +104,7 @@ def _unattractive(pos: np.ndarray, conf: np.ndarray, nconf: int) -> np.ndarray:
 def _shard(instance, constraints, mechanism, seed, lo, hi, max_proposals):
     """Integer counters of trials [lo, hi) of one cell, accumulated batch by batch."""
     if mechanism == "uniform":
-        sampler = VectorUniform(instance, constraints)
+        sampler = get_uniform_sampler(instance, constraints)
         batch = _CHUNK
 
         def draw(a, b):
@@ -162,7 +162,6 @@ def _result_from_counts(instance, scenario, mechanism, trials, seed, merged):
     n, m = instance.n, instance.m
     probs = counts.astype(np.float64) / trials
     sq = float(np.square(probs).sum())
-    npairs = len(pot_pairs(m))
     i_hat = sq / n * 2.0 / (m * (m - 1))
     lo_bound = 1.0 / n
     ineq = (i_hat - lo_bound) / (1.0 - lo_bound)

@@ -4,7 +4,7 @@ Every draw constraint is a per-group band lo <= count <= hi on one set of
 teams (``constraint_bands``): A-D allow at most one team of a confederation
 per group, E keeps two or three European teams in every group, and the host
 rule keeps the host-excluded teams in distinct groups.  The checks here,
-both Uniform samplers and the completability look-ahead all read the bands;
+the Uniform sampler and the completability look-ahead all read the bands;
 ``oracle`` alone restates the rules independently.
 
 Violations are monotone in the partial order of assignments: placing more

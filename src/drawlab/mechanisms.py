@@ -9,19 +9,17 @@ that keeps the partial assignment valid and completable.
 
 Each trial consumes a private counter-based stream, so a trial's outcome is
 a pure function of (instance, constraints, mechanism, seed, trial index).
-The scalar Uniform functions (``uniform_draw``) are the reference
-semantics of the vectorised ``VectorUniform`` sampler, which reproduces them
-word for word.  Every team of a proposal reads a fixed word of its stream,
-so ``VectorUniform`` may build the pots in any order: it builds the most
+Each mechanism has a single implementation, which runs Monte Carlo cells on
+batches of trials and single draws on a batch of one.  Uniform is
+``VectorUniform``: every team of a proposal reads a fixed word of its
+stream, so it may build the pots in any order; it builds the most
 constrained pots first and drops a rejected proposal as soon as a bound
-breaks, without building its remaining pots.  Skip has a single
-implementation, the batch kernel of ``SkipEngine``: every trial carries the
-id of its canonical look-ahead state, and every placement attempt is
-resolved through a per-engine transition table that caches what the
-completability checker decided.  Monte Carlo cells run the kernel on
-batches of trials, and single draws (``skip_draw``, ``draw_trial``, pinned
-orders) run it on a batch of one.  The brute-force ``oracle`` module is its
-independent reference.
+breaks, without building its remaining pots.  Skip is the batch kernel of
+``SkipEngine``: every trial carries the id of its canonical look-ahead
+state, and every placement attempt is resolved through a per-engine
+transition table that caches what the completability checker decided.
+The brute-force ``oracle`` module restates both mechanisms independently,
+and the tests compare against it.
 """
 
 from __future__ import annotations
@@ -64,101 +62,11 @@ def trial_stream(seed: int, mechanism: str, scenario: int, trial: int) -> RngStr
     return RngStream(seed, _MECH_CODE[mechanism], scenario, trial)
 
 
-# ---------------------------------------------------------------------------
-# host-feasible proposals
-# ---------------------------------------------------------------------------
-
-
-class _ProposalLayout:
-    """Word-consumption layout of one host-feasible proposal.
-
-    Every proposal consumes exactly m*n stream words: first one word per
-    excluded team (placed into distinct groups), then one word per remaining
-    team, pot by pot in id order.  Fixed positions keep the scalar and the
-    vectorised samplers aligned.  They also make a pot's groups a function
-    of its own words and the host teams' groups alone, so the vectorised
-    sampler can build the pots in any order and leave unbuilt the pots of a
-    proposal it has already rejected.
-    """
-
-    def __init__(self, instance: Instance):
-        self.instance = instance
-        n, m = instance.n, instance.m
-        self.host_order = sorted(instance.host_exclusion)
-        self.nonhost = [
-            [t.id for t in instance.pot_teams(k) if t.id not in instance.host_exclusion]
-            for k in range(1, m + 1)
-        ]
-        self.words = m * n
-
-    def sample_pos(self, stream: RngStream):
-        """Draw one proposal; returns pos[team id] -> group index."""
-        inst = self.instance
-        n = inst.n
-        pos = [-1] * (inst.m * n)
-        avail = list(range(n))
-        size = n
-        for tid in self.host_order:
-            j = stream.next_word() % size
-            pos[tid] = avail[j]
-            size -= 1
-            avail[j] = avail[size]
-        for k in range(inst.m):
-            row = range(k * n, (k + 1) * n)
-            open_groups = [g for g in range(n) if g not in {pos[t] for t in row if pos[t] != -1}]
-            size = len(open_groups)
-            for tid in self.nonhost[k]:
-                j = stream.next_word() % size
-                pos[tid] = open_groups[j]
-                size -= 1
-                open_groups[j] = open_groups[size]
-        return pos
-
-
-@lru_cache(maxsize=64)
-def _layout(instance: Instance) -> _ProposalLayout:
-    return _ProposalLayout(instance)
-
-
-def _bands_hold(bands, pos, n: int) -> bool:
-    """True iff every group holds between lo and hi of every band's teams."""
-    for band in bands:
-        counts = [0] * n
-        for tid in band.teams:
-            counts[pos[tid]] += 1
-        if min(counts) < band.lo or max(counts) > band.hi:
-            return False
-    return True
-
-
 def _pos_to_assignment(instance: Instance, pos) -> Assignment:
     asg = Assignment.empty(instance)
     for tid, g in enumerate(pos):
         asg.slots[instance.pot_of(tid) - 1][g] = tid
     return asg
-
-
-def sample_host_feasible(instance: Instance, rng: RngStream) -> Assignment:
-    """Uniform sample over assignments separating all host-excluded teams."""
-    return _pos_to_assignment(instance, _layout(instance).sample_pos(rng))
-
-
-def uniform_draw(
-    instance: Instance,
-    constraints: ConstraintSet,
-    rng: RngStream,
-    max_proposals: int = DEFAULT_PROPOSAL_CAP,
-) -> DrawOutcome:
-    """Accept the first host-feasible proposal that satisfies all constraints."""
-    layout = _layout(instance)
-    bands = constraint_bands(instance, constraints)
-    for p in range(max_proposals):
-        pos = layout.sample_pos(rng)
-        if _bands_hold(bands, pos, instance.n):
-            return DrawOutcome(_pos_to_assignment(instance, pos), proposals_used=p + 1)
-    raise ProposalBudgetError(
-        f"no valid assignment in {max_proposals} proposals (scenario {constraints.scenario})"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -386,31 +294,42 @@ def draw_trial(
     """Deterministic single trial; identical whether run alone or in a sweep."""
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}")
-    stream = trial_stream(seed, mechanism, constraints.scenario, trial)
     if mechanism == "uniform":
-        return uniform_draw(instance, constraints, stream, max_proposals=max_proposals)
+        sampler = get_uniform_sampler(instance, constraints)
+        pos, proposals = sampler.run_trials(seed, trial, trial + 1, max_proposals)
+        return DrawOutcome(
+            _pos_to_assignment(instance, pos[0].tolist()), proposals_used=int(proposals[0])
+        )
+    stream = trial_stream(seed, mechanism, constraints.scenario, trial)
     return skip_draw(instance, constraints, stream)
 
 
 # ---------------------------------------------------------------------------
-# vectorised uniform sampling (bulk path)
+# Uniform mechanism
 # ---------------------------------------------------------------------------
 
 
 class VectorUniform:
-    """Batch generator of uniform-mechanism trials.
+    """Uniform rejection sampling, batched across trials.
 
-    Reproduces the scalar rejection sampler exactly: trial t's proposal p
-    reads the same stream words as ``uniform_draw`` (one block of m*n words
-    per round for every pending trial), so shard boundaries and batch sizes
-    cannot change any outcome.  Because ``_ProposalLayout`` fixes the word
-    column of every team, and a pot's pool of open groups depends only on
-    the host teams' groups, the pots of a proposal can be built in any
-    order.  A round places the host teams, then builds the pots one at a
-    time, those with the most teams of [0, 1] bands (A-D) first; after each
-    pot it drops the proposals that already break a band that pot's teams
-    can break, so later pots are built only for the proposals still alive.
-    Every other band (E) is checked once, after the last pot.
+    Word layout: every proposal reads exactly m*n stream words, proposal p
+    of a trial words p*m*n .. (p+1)*m*n - 1.  First comes one word per host
+    team, in id order, each picking a group not yet taken by another host
+    team; then one word per other team, pot by pot in id order, each
+    picking from the groups its pot's host teams left open, listed in
+    ascending order.  A pick takes entry ``word % size`` of the open list
+    and moves the list's last entry into its place.  The proposal is
+    accepted iff every band holds.
+
+    Fixed word positions make every trial's outcome independent of shard
+    boundaries and batch sizes, and make a pot's groups a function of its
+    own words and the host teams' groups alone, so the pots of a proposal
+    can be built in any order.  A round places the host teams, then builds
+    the pots one at a time, those with the most teams of [0, 1] bands (A-D)
+    first; after each pot it drops the proposals that already break a band
+    that pot's teams can break, so later pots are built only for the
+    proposals still alive.  Every other band (E) is checked once, after the
+    last pot.
     """
 
     def __init__(self, instance: Instance, constraints: ConstraintSet):
@@ -418,8 +337,7 @@ class VectorUniform:
         self.constraints = constraints
         n, m = instance.n, instance.m
         self.n, self.m = n, m
-        layout = _layout(instance)
-        self.words = layout.words
+        self.words = m * n
         # proposals meet the host band by construction
         bands = [b for b in constraint_bands(instance, constraints) if b.letter != "HOST"]
         caps = [b.teams for b in bands if (b.lo, b.hi) == (0, 1)]
@@ -456,11 +374,15 @@ class VectorUniform:
 
         # the host teams first, then the pots, most bound teams first; a
         # pot of host teams only has nothing left to build
-        hosts = layout.host_order
+        hosts = sorted(instance.host_exclusion)
+        nonhost = [
+            [t.id for t in instance.pot_teams(k) if t.id not in instance.host_exclusion]
+            for k in range(1, m + 1)
+        ]
         self.steps = [step(0, hosts, n)] if hosts else []
-        starts = np.cumsum([len(hosts)] + [len(ids) for ids in layout.nonhost]).tolist()
-        for k in sorted(range(m), key=lambda k: -sum(t in field for t in layout.nonhost[k])):
-            tids = layout.nonhost[k]
+        starts = np.cumsum([len(hosts)] + [len(ids) for ids in nonhost]).tolist()
+        for k in sorted(range(m), key=lambda k: -sum(t in field for t in nonhost[k])):
+            tids = nonhost[k]
             pot_hosts = [t for t in hosts if instance.pot_of(t) == k + 1]
             if tids:
                 self.steps.append(step(starts[k], tids, len(tids), pot_hosts))
@@ -484,7 +406,7 @@ class VectorUniform:
             if st.hosts is None:
                 pool = np.tile(np.arange(n, dtype=np.int8), (L, 1))
             else:
-                # open groups in ascending order, as the scalar sampler lists them
+                # open groups in ascending order, as the word layout lists them
                 taken = np.zeros((L, n), dtype=bool)
                 taken[rows, pos[st.hosts]] = True
                 pool = np.nonzero(~taken)[1].astype(np.int8).reshape(L, -1)
@@ -553,6 +475,11 @@ class VectorUniform:
             live = np.concatenate(rejected)
             p += 1
         return out_pos, proposals
+
+
+@lru_cache(maxsize=64)
+def get_uniform_sampler(instance: Instance, constraints: ConstraintSet) -> VectorUniform:
+    return VectorUniform(instance, constraints)
 
 
 @dataclass

@@ -23,8 +23,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import IncompleteAssignmentError
-
 
 def pot_pairs(m: int):
     """Canonical unordered pot pairs, 1-based: (1,2), (1,3), ..., (m-1,m)."""
@@ -92,22 +90,6 @@ class MatrixAccumulator:
         self.counts = np.zeros((len(self.pairs), n, n), dtype=np.int64)
         self.trials = 0
 
-    def add_pos(self, pos) -> None:
-        """Accumulate one assignment given ``pos[team id] -> group``."""
-        n = self.n
-        inv = [[0] * n for _ in range(self.m)]
-        for k in range(self.m):
-            base = k * n
-            row = inv[k]
-            for j in range(n):
-                row[pos[base + j]] = j
-        for idx, (k, l) in enumerate(self.pairs):
-            a, b = inv[k - 1], inv[l - 1]
-            slab = self.counts[idx]
-            for g in range(n):
-                slab[a[g], b[g]] += 1
-        self.trials += 1
-
     def add_pos_batch(self, pos: np.ndarray) -> None:
         """Accumulate a (T, m*n) batch of team->group assignments."""
         T = pos.shape[0]
@@ -126,18 +108,6 @@ class MatrixAccumulator:
     def add_raw(self, counts: np.ndarray, trials: int) -> None:
         self.counts += counts
         self.trials += trials
-
-
-def accumulate(acc: MatrixAccumulator, instance, assignment) -> MatrixAccumulator:
-    """Fold one complete assignment into the accumulator and return it."""
-    if not assignment.is_complete():
-        raise IncompleteAssignmentError("accumulate requires a complete assignment")
-    pos = [-1] * (instance.m * instance.n)
-    for k in range(instance.m):
-        for g, tid in enumerate(assignment.slots[k]):
-            pos[tid] = g
-    acc.add_pos(pos)
-    return acc
 
 
 def pair_matrices(acc: MatrixAccumulator, team_names=None) -> PairMatrixSet:

@@ -198,35 +198,38 @@ class Instance:
         return f"Instance({self.name!r}, m={self.m}, n={self.n})"
 
 
-def build_instance(pots, host_exclusion=(), europe=None, name="custom") -> Instance:
-    """Construct an instance from nested (team name, confederation name) pots."""
-    conf_names = []
-    for pot in pots:
-        for _, conf in pot:
-            if conf not in conf_names:
-                conf_names.append(conf)
+def _assemble(name, conf_names, pots, host_exclusion, europe) -> Instance:
+    """Number the teams of nested (team name, confederation name) pots.
+
+    ``conf_names`` fixes the confederation ids in its order; the host
+    exclusion lists team names, and ``europe`` is a name or None.
+    """
     confs = tuple(Confederation(i, cname) for i, cname in enumerate(conf_names))
     conf_id = {c.name: c.id for c in confs}
+    rows = [(k, tname, cname) for k, pot in enumerate(pots, start=1) for tname, cname in pot]
+    teams = [Team(tid, tname, conf_id[cname], k) for tid, (k, tname, cname) in enumerate(rows)]
+    by_name = {}
+    for t in teams:
+        if by_name.setdefault(t.name, t.id) != t.id:
+            raise InstanceFormatError(f"duplicate team name {t.name!r}")
+    excl = set()
+    for nm in host_exclusion:
+        if nm not in by_name:
+            raise InstanceFormatError(f"host exclusion references unknown team {nm!r}")
+        excl.add(by_name[nm])
+    if europe is not None and europe not in conf_id:
+        raise InstanceFormatError(f"unknown europe confederation {europe!r}")
+    return Instance(name, confs, teams, excl, conf_id.get(europe))
+
+
+def build_instance(pots, host_exclusion=(), europe=None, name="custom") -> Instance:
+    """Construct an instance from nested (team name, confederation name) pots."""
     sizes = {len(pot) for pot in pots}
     if len(sizes) != 1:
         raise InstanceFormatError(f"pots have unequal sizes: {sorted(len(p) for p in pots)}")
-    teams = []
-    tid = 0
-    for k, pot in enumerate(pots, start=1):
-        for tname, cname in pot:
-            teams.append(Team(tid, tname, conf_id[cname], k))
-            tid += 1
-    by_name = {t.name: t for t in teams}
-    try:
-        excl = frozenset(by_name[nm].id for nm in host_exclusion)
-    except KeyError as exc:
-        raise InstanceFormatError(f"host exclusion references unknown team {exc}") from None
-    eur = None
-    if europe is not None:
-        if europe not in conf_id:
-            raise InstanceFormatError(f"unknown europe confederation {europe!r}")
-        eur = conf_id[europe]
-    return Instance(name, confs, teams, excl, eur)
+    # confederation ids in order of first appearance
+    conf_names = list(dict.fromkeys(conf for pot in pots for _, conf in pot))
+    return _assemble(name, conf_names, pots, host_exclusion, europe)
 
 
 def load_instance(text) -> Instance:
@@ -268,31 +271,11 @@ def load_instance(text) -> Instance:
         raise InstanceFormatError(
             f"pots have unequal sizes: {[len(p) for p in pots]}"
         )
-    # keep declared confederation order, including unused entries
-    confs = tuple(Confederation(i, c) for i, c in enumerate(conf_names))
-    conf_id = {c.name: c.id for c in confs}
-    teams = []
-    tid = 0
-    for k, pot in enumerate(pots, start=1):
-        for tname, cname in pot:
-            teams.append(Team(tid, tname, conf_id[cname], k))
-            tid += 1
-    by_name = {}
-    for t in teams:
-        if t.name in by_name:
-            raise InstanceFormatError(f"duplicate team name {t.name!r}")
-        by_name[t.name] = t
-    excl = set()
-    for nm in doc.get("host_exclusion", ()):
-        if nm not in by_name:
-            raise InstanceFormatError(f"host exclusion references unknown team {nm!r}")
-        excl.add(by_name[nm].id)
-    europe = None
-    if doc.get("europe"):
-        if doc["europe"] not in conf_id:
-            raise InstanceFormatError(f"unknown europe confederation {doc['europe']!r}")
-        europe = conf_id[doc["europe"]]
-    return Instance(doc.get("name", "unnamed"), confs, teams, excl, europe)
+    # keep the declared confederation order, unused entries included; an
+    # empty "europe" means no Europe
+    name = doc.get("name", "unnamed")
+    europe = doc.get("europe") or None
+    return _assemble(name, conf_names, pots, doc.get("host_exclusion", ()), europe)
 
 
 def builtin_instance_path(name: str) -> Path:

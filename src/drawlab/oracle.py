@@ -4,7 +4,10 @@ These enumerators are deliberately naive re-statements of the draw rules:
 they iterate every per-pot permutation (uniform) or every per-pot draw
 order (skip), apply the definitions directly, and count.  They share no
 search machinery with the production mechanisms, which is what makes them
-usable as independent oracles in the tests.
+usable as independent oracles in the tests.  The same plain loops also
+restate single draws: ``_naive_uniform_trial`` reads a trial's stream words
+in the production word layout, and ``_naive_skip_place`` places pinned draw
+orders; both take validity from ``_Rules`` alone.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .errors import EnumerationBudgetError, InfeasibleScenarioError
+from .errors import EnumerationBudgetError, InfeasibleScenarioError, ProposalBudgetError
 from .metrics import PairMatrixSet, hhi_index, inequality, pot_pairs
 from .model import ConstraintSet, EUROPE_BOUNDS, Instance, UPPER_BOUND_BINDINGS
 
@@ -235,6 +238,40 @@ def _naive_completable(rules: _Rules, groups, todo) -> bool:
             return True
         groups[g] = members[:-1]
     return False
+
+
+def _pick(stream, tids, pool, pos) -> None:
+    """Place ``tids`` in turn into groups drawn from ``pool`` by pick-and-swap."""
+    size = len(pool)
+    for tid in tids:
+        j = stream.next_word() % size
+        pos[tid] = pool[j]
+        size -= 1
+        pool[j] = pool[size]
+
+
+def _naive_uniform_trial(rules: _Rules, stream):
+    """Uniform rejection draw by direct restatement: (pos, proposals used).
+
+    Each proposal reads m*n words of ``stream``: one per host team in id
+    order, picking among the groups no other host team holds, then one per
+    other team, pot by pot in id order, picking among the groups its pot's
+    host teams left open, in ascending order.  The first proposal whose
+    every group is valid is accepted, within the enumeration budget.
+    """
+    n, m = rules.n, rules.m
+    for p in range(1, DEFAULT_ENUMERATION_BUDGET + 1):
+        pos = [-1] * (m * n)
+        _pick(stream, sorted(rules.host), list(range(n)), pos)
+        for k in range(m):
+            pot = range(k * n, (k + 1) * n)
+            taken = {pos[t] for t in pot}
+            open_groups = [g for g in range(n) if g not in taken]
+            _pick(stream, [t for t in pot if pos[t] == -1], open_groups, pos)
+        groups = [[t for t in range(m * n) if pos[t] == g] for g in range(n)]
+        if all(rules.group_ok_full(ms) for ms in groups):
+            return pos, p
+    raise ProposalBudgetError(f"no valid assignment in {DEFAULT_ENUMERATION_BUDGET} proposals")
 
 
 def _naive_skip_place(rules: _Rules, orders):

@@ -17,7 +17,7 @@ from drawlab.mechanisms import (
     get_skip_engine,
     trial_stream,
 )
-from drawlab.oracle import _Rules, _naive_skip_place
+from drawlab.oracle import _Rules, _naive_skip_place, _naive_uniform_trial
 from drawlab.rng import RngStream, trial_keys
 
 from conftest import random_feasible_case, random_instance
@@ -36,28 +36,29 @@ def _pos_of(instance, assignment):
 # ---------------------------------------------------------------------------
 
 
+def _host_feasible_rows(instance, seed, trials):
+    """Scenario-0 Uniform rows: every first proposal is accepted, so row t
+    is the host-feasible sample of trial t's first m*n stream words."""
+    pos, props = VectorUniform(instance, dl.scenario_constraints(0)).run_trials(seed, 0, trials)
+    assert (props == 1).all()
+    return pos
+
+
 def test_host_sample_always_separates_hosts(ihf):
     cs0 = dl.scenario_constraints(0)
     for t in range(200):
-        asg = dl.sample_host_feasible(ihf, trial_stream(5, "uniform", 0, t))
+        asg = dl.draw_trial(ihf, cs0, "uniform", 5, t).assignment
         assert dl.check_full(ihf, cs0, asg) == []
 
 
 def test_host_sample_pairs_egypt_france_with_austria_croatia(ihf):
     n_trials = 20000
-    hits = {("Egypt", "Austria"): 0, ("Egypt", "Croatia"): 0,
-            ("France", "Austria"): 0, ("France", "Croatia"): 0}
-    ids = {nm: ihf.team(nm).id for nm in ("Egypt", "France", "Austria", "Croatia")}
-    for t in range(n_trials):
-        asg = dl.sample_host_feasible(ihf, trial_stream(6, "uniform", 0, t))
-        pos = _pos_of(ihf, asg)
-        for a in ("Egypt", "France"):
-            for b in ("Austria", "Croatia"):
-                if pos[ids[a]] == pos[ids[b]]:
-                    hits[(a, b)] += 1
+    pos = _host_feasible_rows(ihf, 6, n_trials)
     sigma = math.sqrt(0.25 / n_trials)
-    for pair, count in hits.items():
-        assert abs(count / n_trials - 0.5) < 5 * sigma, (pair, count)
+    for a in ("Egypt", "France"):
+        for b in ("Austria", "Croatia"):
+            count = int((pos[:, ihf.team(a).id] == pos[:, ihf.team(b).id]).sum())
+            assert abs(count / n_trials - 0.5) < 5 * sigma, (a, b, count)
 
 
 def test_host_sample_matches_analytic_matrices_on_toy():
@@ -73,9 +74,7 @@ def test_host_sample_matches_analytic_matrices_on_toy():
     exact = dl.host_feasible_matrices(inst)
     acc = dl.MatrixAccumulator(inst.m, inst.n)
     trials = 20000
-    for t in range(trials):
-        asg = dl.sample_host_feasible(inst, trial_stream(7, "uniform", 0, t))
-        acc.add_pos(_pos_of(inst, asg))
+    acc.add_pos_batch(_host_feasible_rows(inst, 7, trials))
     emp = dl.pair_matrices(acc)
     for pair in exact.matrices:
         E = exact.matrix(*pair)
@@ -91,10 +90,7 @@ def test_host_sample_without_exclusions_is_plain_product():
     inst = dl.build_instance(
         [[("a", "X"), ("b", "X"), ("c", "X")], [("d", "X"), ("e", "X"), ("f", "X")]]
     )
-    seen = set()
-    for t in range(500):
-        asg = dl.sample_host_feasible(inst, trial_stream(8, "uniform", 0, t))
-        seen.add(tuple(_pos_of(inst, asg)))
+    seen = {tuple(row) for row in _host_feasible_rows(inst, 8, 500).tolist()}
     assert len(seen) == 36  # all 3! x 3! labelled assignments occur
 
 
@@ -106,15 +102,14 @@ def test_host_sample_without_exclusions_is_plain_product():
 def test_uniform_scenario0_accepts_first_proposal(ihf):
     cs = dl.scenario_constraints(0)
     for t in range(50):
-        out = dl.uniform_draw(ihf, cs, trial_stream(9, "uniform", 0, t))
-        assert out.proposals_used == 1
+        assert dl.draw_trial(ihf, cs, "uniform", 9, t).proposals_used == 1
 
 
 def test_uniform_outcomes_satisfy_constraints(ihf):
     for scenario in (1, 17, 30, 31):
         cs = dl.scenario_constraints(scenario)
         for t in range(25):
-            out = dl.uniform_draw(ihf, cs, trial_stream(10, "uniform", scenario, t))
+            out = dl.draw_trial(ihf, cs, "uniform", 10, t)
             assert dl.check_full(ihf, cs, out.assignment) == []
             assert out.proposals_used >= 1
 
@@ -125,17 +120,24 @@ def test_uniform_budget_exhaustion():
     )
     cs = dl.scenario_constraints(16)  # two Africans per group are unavoidable
     with pytest.raises(dl.ProposalBudgetError):
-        dl.uniform_draw(inst, cs, trial_stream(1, "uniform", 16, 0), max_proposals=64)
+        dl.draw_trial(inst, cs, "uniform", 1, 0, max_proposals=64)
+
+
+def _assert_three_ways_equal(inst, cs, seed, t0, pos, props):
+    """Batch rows, single draws and the oracle's scalar restatement agree."""
+    rules = _Rules(inst, cs)
+    for i, (row, used) in enumerate(zip(pos.tolist(), props.tolist())):
+        out = dl.draw_trial(inst, cs, "uniform", seed, t0 + i)
+        ref = _naive_uniform_trial(rules, trial_stream(seed, "uniform", cs.scenario, t0 + i))
+        assert _pos_of(inst, out.assignment) == row == ref[0], (cs.scenario, t0 + i)
+        assert out.proposals_used == used == ref[1], (cs.scenario, t0 + i)
 
 
 def test_vector_uniform_equals_scalar(ihf):
     for scenario in range(32):
         cs = dl.scenario_constraints(scenario)
         pos, props = VectorUniform(ihf, cs).run_trials(seed=21, t_lo=10, t_hi=14)
-        for t in range(10, 14):
-            out = dl.draw_trial(ihf, cs, "uniform", 21, t)
-            assert _pos_of(ihf, out.assignment) == list(pos[t - 10]), (scenario, t)
-            assert out.proposals_used == props[t - 10], (scenario, t)
+        _assert_three_ways_equal(ihf, cs, 21, 10, pos, props)
 
 
 def test_vector_uniform_equals_scalar_on_toys():
@@ -163,12 +165,8 @@ def test_vector_uniform_equals_scalar_on_toys():
     cases = ((hostless, 24), (hostless, 0), (hosty, 0), (all_host_pot, 0), (all_host_pot, 24))
     for inst, scenario in cases:
         cs = dl.scenario_constraints(scenario)
-        vu = VectorUniform(inst, cs)
-        pos, props = vu.run_trials(seed=14, t_lo=0, t_hi=30)
-        for t in range(30):
-            out = dl.draw_trial(inst, cs, "uniform", 14, t)
-            assert _pos_of(inst, out.assignment) == list(pos[t])
-            assert out.proposals_used == props[t]
+        pos, props = VectorUniform(inst, cs).run_trials(seed=14, t_lo=0, t_hi=30)
+        _assert_three_ways_equal(inst, cs, 14, 0, pos, props)
 
 
 def test_vector_uniform_shard_invariance(ihf):
@@ -183,7 +181,8 @@ def test_vector_uniform_shard_invariance(ihf):
 
 def _hosted_uniform_case(rng):
     """A random instance with host teams in several pots, and a scenario whose
-    proposals are accepted often enough for the scalar sampler to keep up."""
+    proposals are accepted often enough for the oracle's scalar restatement to
+    keep up."""
     while True:
         inst = random_instance(rng, max_pots=4, max_teams=5)
         if len({inst.pot_of(t) for t in inst.host_exclusion}) < 2:
@@ -213,10 +212,7 @@ def test_vector_uniform_equals_scalar_at_any_split(case, seed, t0, cuts):
     props = np.concatenate([n for _, n in parts])
     whole_pos, whole_props = vu.run_trials(seed, t0, t0 + T)
     assert (pos == whole_pos).all() and (props == whole_props).all()
-    for t in range(T):
-        out = dl.draw_trial(inst, cs, "uniform", seed, t0 + t)
-        assert _pos_of(inst, out.assignment) == pos[t].tolist()
-        assert out.proposals_used == props[t]
+    _assert_three_ways_equal(inst, cs, seed, t0, pos, props)
 
 
 def _infeasible_toy():

@@ -6,6 +6,7 @@ import pytest
 
 import drawlab as dl
 from drawlab.metrics import pot_pairs
+from drawlab.oracle import _Rules, _Tally
 
 
 def uniform_set(m, n):
@@ -111,17 +112,23 @@ def test_hhi_transpose_symmetry():
     assert abs(float(dl.hhi_index(ms)) - float(dl.hhi_index(transposed))) < 1e-12
 
 
-def _place_all(instance, pos):
-    asg = dl.Assignment.empty(instance)
-    for tid, g in enumerate(pos):
-        asg.place(instance, tid, g)
-    return asg
+def _random_rows(instance, count, seed):
+    """Random complete assignments as (count, m*n) team->group rows."""
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(count):
+        pos = []
+        for k in range(instance.m):
+            groups = list(range(instance.n))
+            rng.shuffle(groups)
+            pos.extend(groups)
+        rows.append(pos)
+    return np.array(rows, dtype=np.int8)
 
 
 def test_accumulate_counts_per_pair(ihf):
     acc = dl.MatrixAccumulator(ihf.m, ihf.n)
-    pos = [g for _ in range(ihf.m) for g in range(ihf.n)]
-    dl.accumulate(acc, ihf, _place_all(ihf, pos))
+    acc.add_pos_batch(_random_rows(ihf, 1, 3))
     assert acc.trials == 1
     # one co-membership count per group per pot pair
     assert (acc.counts.sum(axis=(1, 2)) == ihf.n).all()
@@ -132,29 +139,21 @@ def test_accumulate_counts_per_pair(ihf):
         assert set(np.unique(mat)) <= {0.0, 1.0}  # permutation matrix
 
 
-def test_accumulate_requires_complete(ihf):
-    acc = dl.MatrixAccumulator(ihf.m, ihf.n)
-    with pytest.raises(dl.IncompleteAssignmentError):
-        dl.accumulate(acc, ihf, dl.Assignment.empty(ihf))
-
-
 def test_add_pos_batch_matches_scalar(ihf):
-    rng = random.Random(17)
-    rows = []
-    for _ in range(40):
-        pos = []
-        for k in range(ihf.m):
-            groups = list(range(ihf.n))
-            rng.shuffle(groups)
-            pos.extend(groups)
-        rows.append(pos)
-    scalar = dl.MatrixAccumulator(ihf.m, ihf.n)
-    for pos in rows:
-        scalar.add_pos(pos)
+    rows = _random_rows(ihf, 40, 17)
+    # the oracle's tally counts from grid[k][g] = team id of pot k+1 in group g
+    tally = _Tally(ihf)
+    rules = _Rules(ihf, dl.scenario_constraints(0))
+    for row in rows.tolist():
+        grid = [[-1] * ihf.n for _ in range(ihf.m)]
+        for tid, g in enumerate(row):
+            grid[tid // ihf.n][g] = tid
+        tally.add(grid, rules)
     batch = dl.MatrixAccumulator(ihf.m, ihf.n)
-    batch.add_pos_batch(np.array(rows, dtype=np.int8))
-    assert (scalar.counts == batch.counts).all()
-    assert scalar.trials == batch.trials
+    batch.add_pos_batch(rows)
+    for i, pair in enumerate(batch.pairs):
+        assert batch.counts[i].tolist() == tally.pair_counts[pair], pair
+    assert batch.trials == tally.total == 40
 
 
 def test_pair_matrices_zero_trials(ihf):
@@ -163,15 +162,8 @@ def test_pair_matrices_zero_trials(ihf):
 
 
 def test_empirical_matrices_doubly_stochastic(ihf):
-    rng = random.Random(5)
     acc = dl.MatrixAccumulator(ihf.m, ihf.n)
-    for _ in range(100):
-        pos = []
-        for k in range(ihf.m):
-            groups = list(range(ihf.n))
-            rng.shuffle(groups)
-            pos.extend(groups)
-        acc.add_pos(pos)
+    acc.add_pos_batch(_random_rows(ihf, 100, 5))
     ms = dl.pair_matrices(acc)
     ms.check_doubly_stochastic(tol=1e-9)
     assert ms.stochastic_error() < 1e-12

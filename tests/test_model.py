@@ -67,6 +67,51 @@ def test_malformed_documents_rejected(ihf, mutate):
         dl.load_instance(json.dumps(doc))
 
 
+_TWIN_POTS = [
+    [("a", "Africa"), ("b", "Europe"), ("c", "Asia")],
+    [("d", "Europe"), ("e", "Asia"), ("f", "Africa")],
+]
+
+
+def _twin_document(**fields):
+    """The document form of ``_TWIN_POTS``, confederations in first-seen order."""
+    doc = {
+        "name": "twin",
+        "confederations": ["Africa", "Europe", "Asia"],
+        "pots": [[{"name": t, "confederation": c} for t, c in pot] for pot in _TWIN_POTS],
+    }
+    doc.update(fields)
+    return doc
+
+
+def test_document_and_nested_pots_build_the_same_instance():
+    built = dl.build_instance(_TWIN_POTS, host_exclusion=["a", "d"], europe="Europe", name="twin")
+    loaded = dl.load_instance(_twin_document(host_exclusion=["a", "d"], europe="Europe"))
+    assert loaded.to_json() == built.to_json()
+    # no Europe: an empty name in a document, None for nested pots
+    assert dl.load_instance(_twin_document(europe="")).to_json() == dl.build_instance(
+        _TWIN_POTS, name="twin"
+    ).to_json()
+
+
+def test_document_and_nested_pots_reject_the_same_unknown_names():
+    with pytest.raises(InstanceFormatError, match="unknown team 'z'"):
+        dl.build_instance(_TWIN_POTS, host_exclusion=["a", "z"])
+    with pytest.raises(InstanceFormatError, match="unknown team 'z'"):
+        dl.load_instance(_twin_document(host_exclusion=["a", "z"]))
+    with pytest.raises(InstanceFormatError, match="unknown europe confederation 'Oceania'"):
+        dl.build_instance(_TWIN_POTS, europe="Oceania")
+    with pytest.raises(InstanceFormatError, match="unknown europe confederation 'Oceania'"):
+        dl.load_instance(_twin_document(europe="Oceania"))
+
+
+def test_document_keeps_its_declared_confederation_order():
+    doc = _twin_document(confederations=["Oceania", "Asia", "Europe", "Africa"])
+    inst = dl.load_instance(doc)
+    assert [c.name for c in inst.confederations] == ["Oceania", "Asia", "Europe", "Africa"]
+    assert inst.teams[0].confederation == 3  # a: Africa
+
+
 def test_not_json_rejected():
     with pytest.raises(InstanceFormatError):
         dl.load_instance("pots: nope")
