@@ -83,13 +83,18 @@ class _IOFailure(Exception):
 
 
 def _default_threads() -> int:
-    return max(1, os.cpu_count() or 1)
+    """CPUs this process may run on (its affinity mask where the platform has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _add_common(p: argparse.ArgumentParser, trials_default=None) -> None:
     p.add_argument("--instance", default="ihf2025", help="built-in name or JSON file path")
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p.add_argument("--threads", type=int, default=None, help="worker count (default: available parallelism)")
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker processes, >= 1; a cell is split only when there are fewer "
+                   "cells than workers (default: the CPUs this process may run on)")
     p.add_argument("--out", default=None, help="output path ('-' or omitted = stdout)")
     p.add_argument("--format", choices=("table", "structured"), default="table")
     if trials_default is not None:
@@ -149,7 +154,7 @@ def cmd_simulate(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
     instance = get_instance(args.instance)
-    workers = args.threads if args.threads else _default_threads()
+    workers = _default_threads() if args.threads is None else args.threads
     results = experiment.sweep(
         instance, scenarios, mechanisms, args.trials, args.seed, workers=workers
     )
@@ -170,7 +175,7 @@ def cmd_probs(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
     instance = get_instance(args.instance)
-    workers = args.threads if args.threads else _default_threads()
+    workers = _default_threads() if args.threads is None else args.threads
     result = experiment.run_scenario(
         instance, scenarios[0], mechanisms[0], args.trials, args.seed, workers=workers
     )

@@ -210,10 +210,9 @@ def run_scenario(
     return _run_cells(instance, cells, trials, seed, workers, max_proposals)[0]
 
 
-def _shard_ranges(trials: int, workers: int):
-    if workers <= 1:
-        return [(0, trials)]
-    per = max(1, -(-trials // workers))
+def _shard_ranges(trials: int, shards: int):
+    """At most ``shards`` contiguous, non-empty trial ranges covering [0, trials)."""
+    per = -(-trials // shards)
     return [(lo, min(lo + per, trials)) for lo in range(0, trials, per)]
 
 
@@ -230,6 +229,8 @@ def sweep(
 
     Trial streams are disjoint across cells, so the sweep equals running
     each cell on its own; workers only change wall time, never values.
+    With at least as many cells as workers, each cell runs whole on one
+    worker.
     """
     cells = [(s, mech) for s in sorted(scenarios) for mech in sorted(mechanisms)]
     return _run_cells(instance, cells, trials, seed, workers, max_proposals)
@@ -238,20 +239,25 @@ def sweep(
 def _run_cells(instance, cells, trials, seed, workers, max_proposals) -> list:
     """One ScenarioResult per (scenario, mechanism) cell, in the given order.
 
-    Every cell is split into the same shards, and all shards of all cells
-    share one process pool.
+    Each cell is split into ceil(workers / len(cells)) trial shards, so a
+    cell is split only when there are fewer cells than workers: a pooled
+    shard warms its samplers, engines and look-ahead memo from cold.  All
+    shards share one process pool of at most one worker per shard.
     """
     for _, mech in cells:
         if mech not in MECHANISMS:
             raise ValueError(f"unknown mechanism {mech!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    shards = _shard_ranges(trials, workers)
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    shards = _shard_ranges(trials, -(-workers // max(len(cells), 1)))
     tasks = [
         (instance, s, mech, seed, lo, hi, max_proposals) for s, mech in cells for lo, hi in shards
     ]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    pool_size = min(workers, len(tasks))
+    if pool_size > 1:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             parts = list(pool.map(_run_shard, tasks))
     else:
         parts = [_run_shard(t) for t in tasks]

@@ -1,8 +1,10 @@
 import json
+import os
 import subprocess
 import sys
 
 import drawlab as dl
+from drawlab import cli
 from drawlab.cli import main
 from drawlab.experiment import strip_metadata
 
@@ -64,7 +66,19 @@ def test_simulate_usage_errors():
     assert run_cli("simulate", "--trials", "0") == 2
     assert run_cli("simulate", "--scenario", "99") == 2
     assert run_cli("simulate", "--mechanism", "drop") == 2
+    assert run_cli("simulate", "--threads", "0") == 2
+    assert run_cli("probs", "--scenario", "0", "--mechanism", "skip", "--threads", "-3") == 2
     assert run_cli("nonsense") == 2
+
+
+def test_default_threads_follow_cpu_affinity(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert cli._default_threads() == 2
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert cli._default_threads() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._default_threads() == 1
 
 
 def test_simulate_infeasible_exit_code(tmp_path):

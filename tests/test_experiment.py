@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import drawlab as dl
 from drawlab import experiment
 from drawlab.experiment import strip_metadata
+from drawlab.mechanisms import DEFAULT_PROPOSAL_CAP
 
 
 def test_run_scenario_fills_fields(ihf):
@@ -42,6 +43,11 @@ def test_sweep_rejects_bad_trials_before_any_shard_runs(ihf, monkeypatch):
     for trials in (0, -3):
         with pytest.raises(ValueError, match="trials must be >= 1"):
             dl.sweep(ihf, [0], ["uniform"], trials, 1)
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            dl.sweep(ihf, [0, 1], ["uniform"], 100, 1, workers=workers)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            dl.run_scenario(ihf, 0, "skip", 100, 1, workers=workers)
 
 
 def test_run_scenario_infeasible():
@@ -77,6 +83,52 @@ def test_sharded_equals_serial(ihf, mechanism):
     assert serial.histogram == sharded.histogram
     assert (serial.matrix_counts == sharded.matrix_counts).all()
     assert serial.feasible_proportion == sharded.feasible_proportion
+
+
+@pytest.mark.parametrize(
+    "ncells,trials,workers,shards,pool",
+    [
+        (64, 1000, 2, [(0, 1000)], 2),
+        (64, 1000, 8, [(0, 1000)], 8),
+        (2, 1000, 4, [(0, 500), (500, 1000)], 4),
+        (3, 999, 8, [(0, 333), (333, 666), (666, 999)], 8),
+        (1, 1000, 3, [(0, 334), (334, 668), (668, 1000)], 3),
+        (1, 2, 5, [(0, 1), (1, 2)], 2),  # fewer trials than shards: no empty shard
+        (3, 1000, 1, [(0, 1000)], None),  # one worker: no pool
+        (0, 1000, 4, [], None),  # no cells: no pool, no results
+    ],
+)
+def test_task_plan_splits_cells_only_when_fewer_than_workers(
+    ihf, monkeypatch, ncells, trials, workers, shards, pool
+):
+    ran, pools = [], []
+
+    def fake_shard(args):
+        _, s, mech, _, lo, hi, _ = args
+        ran.append((s, mech, lo, hi))
+        return np.zeros(1, dtype=np.int64), hi - lo, np.array([hi - lo]), None, 0.0
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(experiment, "_run_shard", fake_shard)
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+    cells = [(s, mech) for s in range(32) for mech in ("skip", "uniform")][:ncells]
+    results = experiment._run_cells(ihf, cells, trials, 0, workers, DEFAULT_PROPOSAL_CAP)
+    assert ran == [(s, mech, lo, hi) for s, mech in cells for lo, hi in shards]
+    assert pools == ([] if pool is None else [pool])
+    # every cell's shards merge to all of its trials
+    assert [r.histogram for r in results] == [{0: trials}] * ncells
 
 
 def test_sweep_cardinality_order_and_determinism(ihf):

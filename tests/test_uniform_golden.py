@@ -32,7 +32,13 @@ GOLDEN = {
 
 
 def cell_digests(instance, trials, seed, workers):
-    results = dl.sweep(instance, SCENARIOS, ["uniform"], trials, seed, workers=workers)
+    if workers == 1:
+        results = dl.sweep(instance, SCENARIOS, ["uniform"], trials, seed)
+    else:
+        # one cell at a time, so each cell is split into `workers` shards;
+        # a sweep of at least as many cells as workers runs every cell whole
+        results = [dl.run_scenario(instance, s, "uniform", trials, seed, workers=workers)
+                   for s in SCENARIOS]
     out = {}
     for r in results:
         doc = strip_metadata(export_results([r], "structured"))
