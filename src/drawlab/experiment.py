@@ -241,7 +241,8 @@ def _run_cells(instance, cells, trials, seed, workers, max_proposals) -> list:
 
     Each cell is split into ceil(workers / len(cells)) trial shards, so a
     cell is split only when there are fewer cells than workers: a pooled
-    shard warms its samplers, engines and look-ahead memo from cold.  All
+    shard builds its own samplers and engines, each Skip engine's transition
+    graph included.  All
     shards share one process pool of at most one worker per shard.
     """
     for _, mech in cells:

@@ -4,21 +4,24 @@ Every draw constraint is a per-group band lo <= count <= hi on one set of
 teams (``constraint_bands``): A-D allow at most one team of a confederation
 per group, E keeps two or three European teams in every group, and the host
 rule keeps the host-excluded teams in distinct groups.  The checks here,
-the Uniform sampler and the completability look-ahead all read the bands;
+the Uniform sampler and the completability builder all read the bands;
 ``oracle`` alone restates the rules independently.
 
 Violations are monotone in the partial order of assignments: placing more
 teams can only add forced violations, never remove them.  Completability
-(does a valid completion exist?) is decided by an exact depth-first search
-over constraint-relevant state classes; states are canonicalised so that
-groups that look alike are interchangeable, which keeps the search small
-and lets results be memoised across queries.
+(does a valid completion exist?) is decided exactly on the graph of
+canonical states below the query's state, built level by level in numpy;
+states are canonicalised so that groups that look alike are
+interchangeable, which keeps the graph small.  The same builder, rooted at
+the empty state, gives the Skip engine its whole transition table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import IncompleteAssignmentError
 from .model import (
@@ -116,26 +119,26 @@ def count_unattractive(instance, assignment) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Completability: exact DFS over canonical constraint states.
+# Completability: the canonical state graph, built level by level in numpy.
 #
-# A group's constraint-relevant state is packed into one integer: first one
-# counter field per band, in band order and hi.bit_length() bits wide, that
-# holds how many of the band's teams the group has; then one bit per pot,
-# set while the group's slot for that pot is open.  A team's type is the
-# set of bands that contain it.  Groups with equal packed state are
-# interchangeable, so a search state is the sorted tuple of group states
-# plus the remaining team-type counts per pot.  The DFS result for a
-# canonical state is memoised for the lifetime of the checker, which also
-# amortises look-ahead across repeated draws.
+# A group's constraint-relevant state is packed into one integer, its
+# signature: first one counter field per band, in band order and
+# hi.bit_length() bits wide, that holds how many of the band's teams the
+# group has; then one bit per pot, set while the group's slot for that pot
+# is open.  A team's type is the set of bands that contain it.  Groups with
+# equal signatures are interchangeable, so a state is the sorted tuple of
+# group signatures plus the remaining team-type counts per pot.  Pots empty
+# in order, so below a given root every state of one level draws from the
+# same pot and has the same number of teams left in every pot.
 # ---------------------------------------------------------------------------
+
+_KEY_BITS = 63  # a child's packed key must fit in a non-negative int64
 
 
 class CompletabilityChecker:
     """Exact completability decisions for one (instance, constraint set)."""
 
     def __init__(self, instance: Instance, constraints: ConstraintSet):
-        self.instance = instance
-        self.constraints = constraints
         self.n = instance.n
         self.m = instance.m
         bands = constraint_bands(instance, constraints)
@@ -171,45 +174,21 @@ class CompletabilityChecker:
         ]
 
         self.empty_group_sig = ((1 << self.m) - 1) << self.open_shift
-        self._memo = {}
-        self._trans = {}
-        self._tuples = {}  # one shared copy of each remaining-counts tuple and row
-        self._open_bands = {}  # remaining type counts -> _bands_to_place
-        self._shared = {}  # one copy of each equal prune table
-
-    # -- packed-state helpers ------------------------------------------
+        self.sig_bits = self.empty_group_sig.bit_length()  # every signature is below 1 << sig_bits
+        self._memo = {}  # root state -> completable
 
     def place_sig(self, sig: int, type_code: int, pot_idx: int):
-        """Group state after placing a team type, or None if a band's hi breaks."""
-        key = (sig, type_code, pot_idx)
-        cached = self._trans.get(key, -1)
-        if cached != -1:
-            return cached
-        result = None
+        """Group state after placing a team type, or None on a taken slot or a broken hi."""
         open_bit = 1 << (self.open_shift + pot_idx)
-        if sig & open_bit:  # else the slot is already filled
-            result = sig & ~open_bit
-            for b in self.type_bands[type_code]:
-                shift, mask, _, hi = self.fields[b]
-                if sig >> shift & mask >= hi:
-                    result = None
-                    break
-                result += 1 << shift
-        self._trans[key] = result
+        if not sig & open_bit:
+            return None
+        result = sig & ~open_bit
+        for b in self.type_bands[type_code]:
+            shift, mask, _, hi = self.fields[b]
+            if sig >> shift & mask >= hi:
+                return None
+            result += 1 << shift
         return result
-
-    def take(self, remaining, pot_idx: int, type_code: int):
-        """``remaining`` less one team of a type in one pot, as a shared tuple.
-
-        Memo keys, the look-ahead search and the Skip engine's states hold
-        one copy of each distinct remaining-counts tuple and row.
-        """
-        share = self._tuples.setdefault
-        row = list(remaining[pot_idx])
-        row[type_code] -= 1
-        row = tuple(row)
-        child = remaining[:pot_idx] + (share(row, row),) + remaining[pot_idx + 1 :]
-        return share(child, child)
 
     def state_of(self, assignment: Assignment):
         """Canonical (group sigs, remaining type counts) of a partial assignment."""
@@ -227,103 +206,167 @@ class CompletabilityChecker:
                 remaining[k][tc] -= 1
         return tuple(sorted(sigs)), tuple(tuple(r) for r in remaining)
 
-    # -- search ---------------------------------------------------------
-
     def completable_state(self, sigs, remaining) -> bool:
-        memo = self._memo
+        """True iff a canonical state has a valid completion; memoised per root."""
         key = (sigs, remaining)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        result = self._search(sigs, remaining)
-        memo[key] = result
-        return result
+        if key not in self._memo:
+            self._memo[key] = bool(self._build(sigs, remaining)[2][0].any())
+        return self._memo[key]
 
-    def _search(self, sigs, remaining) -> bool:
-        # locate the first pot that still has teams to place
-        pot_idx = -1
+    def graph(self, sigs, remaining):
+        """The attempt-code table of the completable states below one canonical state.
+
+        The completable states are numbered level by level, the root first.
+        Placing a team of type tc into a group of signature s of state i is
+        the attempt code ((i << sig_bits) | s) * ntypes + tc; its outcome is
+        (child << sig_bits) | the group's new signature, or -1 when a band's
+        hi breaks or the child is not completable.  The table lists every
+        attempt of every completable state: each distinct open signature
+        with each type its pot still holds.
+
+        Returns (completable, codes, outcomes), codes ascending; memoises the root's answer.
+        """
+        vals, levels, comp = self._build(sigs, remaining)
+        nt, bits = self.ntypes, self.sig_bits
+        # each state's id, or -1 if it is not completable; child -1 reads the trailing -1
+        starts = np.cumsum([0] + [c.sum() for c in comp])
+        ids = [np.append(np.where(c, a + np.cumsum(c) - 1, -1), -1) for a, c in zip(starts, comp)]
+        codes, outcomes = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+        for L, (s, sid, tc, new, child) in enumerate(levels):
+            keep = comp[L][s]
+            # ascending: states in id order, signatures and types ascending within one
+            codes.append((ids[L][s[keep]] << bits | vals[sid[keep]]) * nt + tc[keep])
+            child = ids[L + 1][child[keep]]
+            outcomes.append(np.where(child >= 0, child << bits | vals[new[keep]], -1))
+        ok = self._memo[sigs, remaining] = bool(comp[0].any())
+        return ok, np.concatenate(codes), np.concatenate(outcomes)
+
+    # -- the builder ------------------------------------------------------
+
+    def _signatures(self, sigs, remaining):
+        """Every signature reachable from ``sigs``, ascending, and its transitions.
+
+        The pots fill in order, each slot with a type its pot holds.
+        Returns (values, trans): trans[k, i, tc] is the index in ``values``
+        of signature i after a team of type tc fills its pot-k slot, or -1.
+        """
+        values = set(sigs)
         for k, row in enumerate(remaining):
-            if any(row):
-                pot_idx = k
-                break
-        if pot_idx < 0:
-            return self._final_ok(sigs)
-        if not self._prune_ok(sigs, remaining):
-            return False
-        type_code = next(i for i, c in enumerate(remaining[pot_idx]) if c)
-        child_rem = self.take(remaining, pot_idx, type_code)
-        open_bit = 1 << (self.open_shift + pot_idx)
-        tried = set()
-        for i, sig in enumerate(sigs):
-            if sig in tried or not sig & open_bit:
-                continue
-            tried.add(sig)
-            new_sig = self.place_sig(sig, type_code, pot_idx)
-            if new_sig is None:
-                continue
-            child_sigs = tuple(sorted(sigs[:i] + (new_sig,) + sigs[i + 1 :]))
-            if self.completable_state(child_sigs, child_rem):
-                return True
-        return False
+            placed = (self.place_sig(v, tc, k) for v in values for tc, c in enumerate(row) if c)
+            values |= set(placed) - {None}
+        values = sorted(values)
+        index = {v: i for i, v in enumerate(values)}
+        trans = [
+            [[index.get(self.place_sig(v, tc, k), -1) for tc in range(self.ntypes)] for v in values]
+            for k in range(self.m)
+        ]
+        return np.array(values, dtype=np.int64), np.array(trans, np.min_scalar_type(-len(values)))
 
-    def _final_ok(self, sigs) -> bool:
-        return all(
-            sig >> shift & mask >= lo for shift, mask, lo, _ in self.fields if lo for sig in sigs
-        )
+    def _build(self, sigs, remaining):
+        """The graph below one canonical state, one whole level at a time.
 
-    def _prune_ok(self, sigs, remaining) -> bool:
-        """False when some band can no longer be met, whatever the placements.
+        A level's states are rows of sorted signature ids plus the type
+        counts left in the level's pot.  The forward pass expands each state
+        by every (distinct open signature, type its pot holds) and drops the
+        children that fail the band prune.  The backward pass marks a leaf
+        completable (at a leaf the prune is the lo check) and any other
+        state completable iff one of its children is.
+
+        Returns (values, levels, comp): the signature values by id; per level
+        below the last, the attempts (state, signature id, type, new
+        signature id or -1, surviving child or -1) of its states; and per
+        level which states are completable.
+        """
+        m, n = self.m, self.n
+        vals, trans = self._signatures(sigs, remaining)
+        cnt = np.array([vals >> shift & mask for shift, mask, _, _ in self.fields])
+        opens = np.zeros((m + 1, vals.size), dtype=np.int8)  # pot m: past the last pot
+        opens[:m] = [vals >> (self.open_shift + k) & 1 for k in range(m)]
+        full = np.zeros((m + 1, self.ntypes), dtype=np.min_scalar_type(n))
+        full[:m] = remaining
+        pots = [k for k in range(m) for _ in range(sum(remaining[k]))] + [m]  # pot of each level
+
+        rows = np.searchsorted(vals, sigs).astype(trans.dtype)[None]
+        rem = full[pots[0]][None]
+        keep = self._bands_hold(rows, rem, pots[0], full, cnt, opens)
+        rows, rem = rows[keep], rem[keep]
+        levels, sizes = [], [len(rows)]
+        for k, k2 in zip(pots, pots[1:]):
+            distinct = np.diff(rows, axis=1, prepend=-1) != 0  # rows are sorted
+            pick = ((opens[k][rows] > 0) & distinct)[:, :, None] & (rem > 0)[:, None, :]
+            s, i, tc = np.nonzero(pick)
+            sid = rows[s, i]
+            new = trans[k, sid, tc]
+            ok = new >= 0
+            j = np.arange(np.count_nonzero(ok))
+            crow, crem = rows[s[ok]], rem[s[ok]]
+            crow[j, i[ok]] = new[ok]
+            crow.sort(axis=1)
+            crem[j, tc[ok]] -= 1
+            if k2 != k:  # the pot is empty; the child draws from the next one
+                crem += full[k2]
+            # one packed int64 key per child: its counts in mixed radix, last
+            # type first, then its row over the signatures on the level; rows
+            # too wide for that are compared whole, in the same order
+            local = np.cumsum(np.bincount(crow.ravel(), minlength=vals.size) > 0) - 1
+            bits = max(int(local[-1]), 1).bit_length()
+            radix = np.cumprod(np.concatenate([[1], full[k2].astype(np.int64) + 1]))
+            if bits * n + int(radix[-1] - 1).bit_length() <= _KEY_BITS:
+                key = crem @ radix[:-1]
+                for col in range(n):
+                    key = key << bits | local[crow[:, col]]
+                _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+            else:
+                _, first, inverse = np.unique(
+                    np.hstack([crem[:, ::-1], crow]), axis=0, return_index=True, return_inverse=True
+                )
+            crow, crem = crow[first], crem[first]
+            keep = self._bands_hold(crow, crem, k2, full, cnt, opens)
+            renumber = np.where(keep, np.cumsum(keep) - 1, -1)
+            child = np.full(s.size, -1, dtype=np.int32)
+            child[ok] = renumber[inverse.ravel()]
+            levels.append((s.astype(np.int32), sid, tc.astype(np.int8), new, child))
+            rows, rem = crow[keep], crem[keep]
+            sizes.append(len(rows))
+
+        comp = [np.ones(sizes[-1], dtype=bool)]
+        for (s, _, _, _, child), size in zip(reversed(levels), reversed(sizes[:-1])):
+            good = child >= 0
+            good[good] = comp[-1][child[good]]
+            comp.append(np.bincount(s[good], minlength=size) > 0)
+        return vals, levels, comp[::-1]
+
+    def _bands_hold(self, rows, rem, k, full, cnt, opens) -> np.ndarray:
+        """Which states of a level drawing from pot k pass the band prune.
 
         The band teams still to place (its supply) can only go to open slots
         of the pots that still hold some, at most hi - count per group: every
         group must still reach lo, the groups' total deficit below lo must
         fit in the supply, and the supply must fit in what the groups can
-        absorb.
+        absorb.  ``rem`` holds each state's counts of pot k; the later pots
+        are as ``full`` has them.
         """
-        bands = self._open_bands.get(remaining)
-        if bands is None:
-            bands = self._open_bands[remaining] = self._bands_to_place(remaining)
-        for shift, mask, lo, hi, supply, pots in bands:
-            deficit = absorb = 0
-            for sig in sigs:
-                count = sig >> shift & mask
-                reach = (sig & pots).bit_count()
-                if count + reach < lo:
-                    return False
-                if count < lo:
-                    deficit += lo - count
-                room = hi - count
-                absorb += reach if reach < room else room
-            if deficit > supply or supply > absorb:
-                return False
-        return True
-
-    def _bands_to_place(self, remaining) -> tuple:
-        """(field, supply, open-slot bits of its pots) of each band the prune checks.
-
-        A band's supply is the number of its teams still to place; a band
-        with no supply and lo = 0 cannot be broken any more and is left out.
-        Many remaining counts give equal tuples, so they are shared.
-        """
-        share = self._shared.setdefault
-        out = []
-        for types, (shift, mask, lo, hi) in zip(self.band_types, self.fields):
-            supply = pots = 0
-            for k, row in enumerate(remaining):
-                c = sum([row[i] for i in types])
-                if c:
-                    supply += c
-                    pots |= 1 << (self.open_shift + k)
-            if supply or lo:
-                band = (shift, mask, lo, hi, supply, pots)
-                out.append(share(band, band))
-        out = tuple(out)
-        return share(out, out)
+        ok = np.ones(len(rows), dtype=bool)
+        at = rows.astype(np.intp)
+        for b, (types, (_, _, lo, hi)) in enumerate(zip(self.band_types, self.fields)):
+            later = full[k + 1 :, types].sum(axis=1)  # per later pot
+            cur = rem[:, types].sum(axis=1, dtype=np.int64)
+            if not lo and not later.any() and not cur.any():
+                continue  # nothing left that could break this band
+            reach = opens[k + 1 :][later > 0].sum(axis=0)
+            # with the slot of pot k where the pot still holds band teams
+            r = np.where((cur > 0)[:, None], (reach + opens[k])[at], reach[at])
+            need = np.maximum(lo - cnt[b], 0)[at]
+            supply = int(later.sum()) + cur
+            ok &= (r >= need).all(axis=1)
+            ok &= need.sum(axis=1) <= supply
+            ok &= supply <= np.minimum(r, (hi - cnt[b])[at]).sum(axis=1)
+        return ok
 
 
 @lru_cache(maxsize=64)
 def get_checker(instance: Instance, constraints: ConstraintSet) -> CompletabilityChecker:
-    """The shared checker, and so the shared look-ahead memo, of one cell's constraints."""
+    """The shared checker, and so the shared completability memo, of one cell's constraints."""
     return CompletabilityChecker(instance, constraints)
 
 

@@ -15,9 +15,10 @@ batches of trials and single draws on a batch of one.  Uniform is
 stream, so it may build the pots in any order; it builds the most
 constrained pots first and drops a rejected proposal as soon as a bound
 breaks, without building its remaining pots.  Skip is the batch kernel of
-``SkipEngine``: every trial carries the id of its canonical look-ahead
-state, and every placement attempt is resolved through a per-engine
-transition table that caches what the completability checker decided.
+``SkipEngine``: every trial carries the id of its canonical state, and
+every placement attempt is looked up in the engine's transition table,
+built whole when the engine is made by the same completability builder
+that ``feasibility.completable`` uses.
 The brute-force ``oracle`` module restates both mechanisms independently,
 and the tests compare against it.
 """
@@ -78,19 +79,17 @@ class SkipEngine:
     """Skip placement with exact completability look-ahead, batched across trials.
 
     All trials of a batch step through the m*n placements together, each
-    carrying the id of its canonical look-ahead state: the sorted group
-    signatures plus the remaining type counts, interned per engine, with
-    id 0 for the empty assignment.  Placing a team of type tc into a group
-    of signature s has an outcome that depends on (state, s, tc) alone: the
-    group's new signature and the child state's id, or a failure when a
-    band's hi breaks or the child is not completable.  So every pending
-    trial's attempt is one int64 code, resolved for the whole step with
-    ``np.searchsorted`` in a per-engine transition table.  Only codes never
-    seen before go through the checker, once each: ``place_sig`` and
-    ``completable_state``, whose memo stays the only record of
-    completability.  The table is a cache derived from it and is kept
-    across batches, so after a short warm-up a step is a few array
-    operations.
+    carrying the id of its canonical state: the sorted group signatures
+    plus the remaining type counts, with id 0 for the empty assignment.
+    Placing a team of type tc into a group of signature s has an outcome
+    that depends on (state, s, tc) alone: the group's new signature and the
+    child state's id, or a failure when a band's hi breaks or the child is
+    not completable.  So every pending trial's attempt is one int64 code,
+    looked up for the whole step with ``np.searchsorted`` in a sorted
+    transition table.  The engine builds that table once, whole, with the
+    checker's ``graph`` from the empty state: it lists every attempt of
+    every completable state, so a step is a few array operations from the
+    first trial on.
     """
 
     def __init__(self, instance: Instance, constraints: ConstraintSet):
@@ -105,19 +104,11 @@ class SkipEngine:
             dtype=np.min_scalar_type(m * n - 1),
         )
         self.team_type = np.array(checker.team_type, dtype=np.int64)
-        # attempt code: (state * R + signature) * ntypes + type, with every
-        # signature below R = 1 << sig_bits; outcome: child << sig_bits |
-        # new signature, or -1
-        self._sig_bits = checker.empty_group_sig.bit_length()
+        # attempt codes and outcomes as ``CompletabilityChecker.graph`` encodes them
+        self._sig_bits = checker.sig_bits
         self._span = checker.ntypes << self._sig_bits  # codes per state
-        # sorted codes and their outcomes; the sentinel is above every code
-        self._codes = np.array([np.iinfo(np.int64).max])
-        self._outcomes = np.array([-1])
-        state = checker.state_of(Assignment.empty(instance))
-        self._states = [state]  # id -> (sorted signatures, remaining counts)
-        self._pots = [0]  # id -> the pot being drawn
-        self._ids = {state: 0}
-        self.feasible = checker.completable_state(*state)
+        root = checker.state_of(Assignment.empty(instance))
+        self.feasible, self._codes, self._outcomes = checker.graph(*root)
 
     def draw_orders(self, keys, offset: int = 0) -> np.ndarray:
         """Per-pot draw orders of a batch of streams: (T, m, n) team ids.
@@ -189,47 +180,10 @@ class SkipEngine:
         return pos
 
     def _outcomes_of(self, codes: np.ndarray) -> np.ndarray:
-        """The table's outcome of every attempt code, resolving unseen codes first."""
-        at = np.searchsorted(self._codes, codes)
-        out = self._outcomes[at]
-        miss = self._codes[at] != codes
-        if miss.any():
-            new, inverse = np.unique(codes[miss], return_inverse=True)
-            resolved = np.array(self._resolve(new.tolist()), dtype=np.int64)
-            out[miss] = resolved[inverse]
-            # merged at their sorted positions; the table is never re-sorted
-            where = np.searchsorted(self._codes, new)
-            self._codes = np.insert(self._codes, where, new)
-            self._outcomes = np.insert(self._outcomes, where, resolved)
-        return out
-
-    def _resolve(self, codes) -> list:
-        """Outcomes of new attempt codes, from the checker."""
-        checker = self.checker
-        place, take, completable = checker.place_sig, checker.take, checker.completable_state
-        span, nt, bits = self._span, checker.ntypes, self._sig_bits
-        states, pots, ids = self._states, self._pots, self._ids
-        out = []
-        for code in codes:
-            state, rest = divmod(code, span)
-            sig, tc = divmod(rest, nt)
-            k = pots[state]
-            new = place(sig, tc, k)
-            if new is None:
-                out.append(-1)
-                continue
-            sigs, remaining = states[state]
-            i = sigs.index(sig)
-            rem = take(remaining, k, tc)
-            child = (tuple(sorted(sigs[:i] + (new,) + sigs[i + 1 :])), rem)
-            if not completable(*child):
-                out.append(-1)
-                continue
-            child_id = ids.setdefault(child, len(states))
-            if child_id == len(states):
-                states.append(child)
-                pots.append(k if any(rem[k]) else k + 1)
-            out.append(child_id << bits | new)
+        """The table's outcome of every attempt code, probed in ascending order."""
+        order = np.argsort(codes)
+        out = np.empty_like(codes)
+        out[order] = self._outcomes[np.searchsorted(self._codes, codes[order])]
         return out
 
     def run_trials(self, seed: int, t_lo: int, t_hi: int) -> np.ndarray:

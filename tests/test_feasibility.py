@@ -4,7 +4,8 @@ import pytest
 
 import drawlab as dl
 from drawlab.errors import IncompleteAssignmentError
-from drawlab.feasibility import constraint_bands, get_checker
+from drawlab import feasibility
+from drawlab.feasibility import CompletabilityChecker, constraint_bands, get_checker
 from drawlab.oracle import _Rules, _naive_completable
 
 from conftest import random_instance
@@ -206,6 +207,97 @@ def test_completable_matches_brute_force():
             expect = _naive_completable(_Rules(inst, cs), groups, todo)
             assert got == expect, (inst.to_document(), scenario, asg.slots)
             checked += 1
+
+
+def test_completable_matches_brute_force_on_deep_skip_partials(ihf):
+    # Skip draws with their last teams blanked, and each way to place the
+    # next of those teams again, against the plain search of the oracle
+    cs = dl.scenario_constraints(31)
+    rules = _Rules(ihf, cs)
+    rng = random.Random(31)
+    verdicts = set()
+    for t in range(12):
+        trace = dl.draw_trial(ihf, cs, "skip", 9, t).trace
+        blank = rng.randint(1, 6)
+        asg = dl.Assignment.empty(ihf)
+        for tid, g, _ in trace[:-blank]:
+            asg.place(ihf, tid, g)
+        tid = trace[-blank][0]
+        pot = ihf.pot_of(tid)
+        cases = [asg]
+        for g in range(ihf.n):
+            if asg.slots[pot - 1][g] == -1:
+                child = asg.copy()
+                child.place(ihf, tid, g)
+                cases.append(child)
+        for case in cases:
+            got = dl.completable(ihf, cs, case)
+            assert got == _naive_completable(rules, *_naive_state(ihf, case)), case.slots
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_completable_matches_brute_force_with_many_groups():
+    # 24 groups: a state's sorted row no longer packs into one int64 key, so
+    # the builder compares whole rows.  Every group needs a second European
+    # from pot 2 or 3; some ways to place a blanked pot-3 team leave a group
+    # without one.
+    others = ["Africa", "Asia", "North America", "South America"]
+    n = 24
+    pots = [[(f"e0_{i}", "Europe") for i in range(n)]]
+    for k in (1, 2):
+        pots.append(
+            [(f"e{k}_{i}", "Europe") for i in range(n // 2)]
+            + [(f"o{k}_{i}", others[i % 4]) for i in range(n // 2)]
+        )
+    inst = dl.build_instance(pots, europe="Europe")
+    cs = dl.scenario_constraints(31)
+    rules = _Rules(inst, cs)
+    rng = random.Random(7)
+    verdicts = set()
+    for _ in range(6):
+        asg = dl.Assignment.empty(inst)
+        for k in range(2):
+            ids = [t.id for t in inst.pot_teams(k + 1)]
+            rng.shuffle(ids)
+            asg.slots[k] = ids
+        last = {True: [], False: []}
+        for t in inst.pot_teams(3):
+            last[t.confederation == inst.europe].append(t.id)
+        for g in range(n):
+            european = inst.teams[asg.slots[1][g]].confederation == inst.europe
+            asg.slots[2][g] = last[not european].pop()
+        assert not dl.check_full(inst, cs, asg)
+        blank = rng.sample(range(n), rng.randint(2, 5))
+        tid = asg.slots[2][blank[0]]
+        for g in blank:
+            asg.slots[2][g] = -1
+        cases = [asg]
+        for g in blank:
+            child = asg.copy()
+            child.place(inst, tid, g)
+            cases.append(child)
+        for case in cases:
+            got = dl.completable(inst, cs, case)
+            assert got == _naive_completable(rules, *_naive_state(inst, case)), case.slots
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_completability_graph_does_not_depend_on_key_packing(ihf, monkeypatch):
+    # a level whose rows do not pack into one int64 key compares whole rows;
+    # that path, taken on every level, must build the same tables
+    def tables():
+        out = []
+        for scenario in (1, 17, 31):
+            checker = CompletabilityChecker(ihf, dl.scenario_constraints(scenario))
+            ok, codes, outcomes = checker.graph(*checker.state_of(dl.Assignment.empty(ihf)))
+            out.append((ok, codes.tobytes(), outcomes.tobytes()))
+        return out
+
+    packed = tables()
+    monkeypatch.setattr(feasibility, "_KEY_BITS", 0)
+    assert tables() == packed
 
 
 def test_completable_has_a_completable_extension():

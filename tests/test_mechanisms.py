@@ -431,8 +431,9 @@ def test_skip_results_do_not_depend_on_batch_or_shard_split(case, seed, cuts):
     assert np.trim_zeros(serial[2], "b").tolist() == np.trim_zeros(merged[2], "b").tolist()
 
 
-def test_skip_transition_table_is_a_pure_cache(ihf):
-    # positions must not depend on what the engine resolved before
+def test_skip_transition_table_is_built_whole_and_deterministic(ihf):
+    # two fresh engines build the same table, and positions do not depend on
+    # what the engine drew before
     rng = random.Random(12)
     while True:
         inst = random_instance(rng, max_pots=4, max_teams=6)
@@ -441,13 +442,18 @@ def test_skip_transition_table_is_a_pure_cache(ihf):
             break
     cases = [(ihf, dl.scenario_constraints(31)), (inst, cs)]
 
-    def fresh_caches():
+    def fresh_engine(i, c):
         get_skip_engine.cache_clear()
         feasibility.get_checker.cache_clear()
+        return get_skip_engine(i, c)
 
-    fresh_caches()
-    cold = [get_skip_engine(i, c).run_trials(3, 1000, 1400).tobytes() for i, c in cases]
-    fresh_caches()
+    for i, c in cases:
+        a, b = fresh_engine(i, c), fresh_engine(i, c)
+        assert a is not b
+        assert a._codes.tobytes() == b._codes.tobytes()
+        assert a._outcomes.tobytes() == b._outcomes.tobytes()
+        assert (np.diff(a._codes) > 0).all()
+    cold = [fresh_engine(i, c).run_trials(3, 1000, 1400).tobytes() for i, c in cases]
     for i, c in cases:
         engine = get_skip_engine(i, c)
         engine.run_trials(8, 0, 1500)
@@ -456,6 +462,21 @@ def test_skip_transition_table_is_a_pure_cache(ihf):
             dl.draw_trial(i, c, "skip", 4, t)
     warm = [get_skip_engine(i, c).run_trials(3, 1000, 1400).tobytes() for i, c in cases]
     assert warm == cold
+
+
+@pytest.mark.parametrize(
+    "scenario, states, codes, succeed",
+    [(0, 57, 104, 80), (1, 156, 414, 320), (17, 536, 2477, 1700), (31, 12222, 101475, 62009)],
+)
+def test_skip_transition_graph_sizes(ihf, scenario, states, codes, succeed):
+    # completable canonical states and attempt codes below the empty state;
+    # the lazily grown table of the earlier per-state search reached the same
+    # counts (s0, s1, s17 after 10^5 trials; s31 by a breadth-first search)
+    engine = get_skip_engine(ihf, dl.scenario_constraints(scenario))
+    assert engine._codes.size == codes
+    assert np.count_nonzero(engine._outcomes >= 0) == succeed
+    # states are numbered densely, and every one but the root is some attempt's child
+    assert (engine._outcomes.max() >> engine._sig_bits) + 1 == states
 
 
 # ---------------------------------------------------------------------------
