@@ -12,9 +12,12 @@ a pure function of (instance, constraints, mechanism, seed, trial index).
 Each mechanism has a single implementation, which runs Monte Carlo cells on
 batches of trials and single draws on a batch of one.  Uniform is
 ``VectorUniform``: every team of a proposal reads a fixed word of its
-stream, so it may build the pots in any order; it builds the most
-constrained pots first and drops a rejected proposal as soon as a bound
-breaks, without building its remaining pots.  Skip is the batch kernel of
+stream, so it may place the teams in any order that puts the host teams
+before the pots they share.  It builds the pots without host teams first,
+then places the host teams, then builds the other pots, the most
+constrained pots first within each part; it drops a rejected proposal as
+soon as a bound breaks, and generates stream words only for the steps of
+the proposals still alive.  Skip is the batch kernel of
 ``SkipEngine``: every trial carries the id of its canonical state, and
 every placement attempt is looked up in the engine's transition table,
 built whole when the engine is made by the same completability builder
@@ -39,9 +42,9 @@ MECHANISMS = ("uniform", "skip")
 _MECH_CODE = {"uniform": 1, "skip": 2}
 
 DEFAULT_PROPOSAL_CAP = 10**7
-# Uniform proposals per word block of a round: bounds the round's arrays,
-# so a batch's peak memory does not depend on how many of its trials are
-# still pending
+# Uniform proposals per round: bounds a round's arrays (its word runs,
+# positions and masks), so a batch's peak memory does not depend on how
+# many of its trials are still pending
 _ROUND_BLOCK = 8192
 
 
@@ -277,13 +280,17 @@ class VectorUniform:
 
     Fixed word positions make every trial's outcome independent of shard
     boundaries and batch sizes, and make a pot's groups a function of its
-    own words and the host teams' groups alone, so the pots of a proposal
-    can be built in any order.  A round places the host teams, then builds
-    the pots one at a time, those with the most teams of [0, 1] bands (A-D)
-    first; after each pot it drops the proposals that already break a band
-    that pot's teams can break, so later pots are built only for the
-    proposals still alive.  Every other band (E) is checked once, after the
-    last pot.
+    own words and the host teams' groups alone, so the steps of a proposal
+    can run in any order that places the host teams before the pots that
+    hold hosts.  A round builds the pots without host teams first, then
+    places the host teams, then builds the pots with host teams; within
+    each part, the pots with the most teams of [0, 1] bands (A-D) go
+    first.  After each step it drops the proposals that already break a
+    band that step's teams can break, so later steps run only for the
+    proposals still alive.  The steps form runs, each ending at a step
+    that can reject, and a run's stream words are generated in one block,
+    only for the proposals alive when it starts.  Every other band (E) is
+    checked once, after the last step.
     """
 
     def __init__(self, instance: Instance, constraints: ConstraintSet):
@@ -308,82 +315,102 @@ class VectorUniform:
             raise ValueError(f"the Uniform sampler supports at most 64 groups (got {n})")
         field = {tid: f for f, ids in enumerate(caps) for tid in ids}
         self.nmasks = -(-len(caps) // per_word) if per_word else 0
-        seen = set()  # fields with a team placed in an earlier step
 
-        def step(start, tids, pool_size, hosts=()):
+        def step(pot, start, tids, pool_size, hosts=()):
             masks = []
             for w in sorted({field[t] // per_word for t in tids if t in field}):
                 ids = [t for t in tids if t in field and field[t] // per_word == w]
                 offs = np.array([[field[t] % per_word * n] for t in ids], dtype=np.int64)
-                check = any(field[t] in seen for t in ids)
-                masks.append((w, np.array(ids, dtype=np.intp), offs, check))
-            seen.update(field[t] for t in tids if t in field)
+                masks.append((w, np.array(ids, dtype=np.intp), offs, {field[t] for t in ids}))
             return _Step(
-                words=slice(start, start + len(tids)),
+                pot=pot,
+                words=range(start, start + len(tids)),
                 tids=tids,
                 moduli=np.arange(pool_size, pool_size - len(tids), -1, dtype=np.uint64)[:, None],
                 hosts=np.array(hosts, dtype=np.intp) if hosts else None,
                 masks=masks,
             )
 
-        # the host teams first, then the pots, most bound teams first; a
-        # pot of host teams only has nothing left to build
+        # the pots without host teams, then the host teams, then the pots
+        # with host teams, most bound teams first within each part; a pot
+        # of host teams only has nothing left to build
         hosts = sorted(instance.host_exclusion)
-        nonhost = [
-            [t.id for t in instance.pot_teams(k) if t.id not in instance.host_exclusion]
-            for k in range(1, m + 1)
-        ]
-        self.steps = [step(0, hosts, n)] if hosts else []
-        starts = np.cumsum([len(hosts)] + [len(ids) for ids in nonhost]).tolist()
-        for k in sorted(range(m), key=lambda k: -sum(t in field for t in nonhost[k])):
-            tids = nonhost[k]
-            pot_hosts = [t for t in hosts if instance.pot_of(t) == k + 1]
+        start = len(hosts)
+        pots = []
+        for k in range(1, m + 1):
+            tids = [t.id for t in instance.pot_teams(k) if t.id not in instance.host_exclusion]
             if tids:
-                self.steps.append(step(starts[k], tids, len(tids), pot_hosts))
+                pot_hosts = [t for t in hosts if instance.pot_of(t) == k]
+                pots.append(step(k, start, tids, len(tids), pot_hosts))
+            start += len(tids)
+        pots.sort(key=lambda st: (st.hosts is not None, -sum(len(ids) for _, ids, _, _ in st.masks)))
+        if hosts:
+            pots.insert(sum(st.hosts is None for st in pots), step(0, 0, hosts, n))
+        self.steps = pots
+        self._plan()
 
-    def _round(self, words: np.ndarray):
-        """One proposal round over a (m*n, L) word block, one column per trial.
+    def _plan(self):
+        """Split ``self.steps`` into word runs, each ending at a step that can reject.
 
-        Returns (cols, pos): the block columns whose proposal is valid, and
-        their (m*n, L') team->group positions.
+        A step checks a mask word only if an earlier step set one of the
+        fields its teams set there, and a step that checks can reject.  Each
+        run is (its (k, 1) word indices, then (step, its rows of the run's
+        words, a check flag per mask word) per step).
+        """
+        self.runs, run, words, seen = [], [], [], set()
+        for i, st in enumerate(self.steps):
+            checks = [bool(fields & seen) for *_, fields in st.masks]
+            seen.update(*(fields for *_, fields in st.masks))
+            run.append((st, slice(len(words), len(words) + len(st.tids)), checks))
+            words.extend(st.words)
+            if any(checks) or i == len(self.steps) - 1:
+                self.runs.append((np.array(words, dtype=np.uint64)[:, None], run))
+                run, words = [], []
+
+    def _round(self, keys: np.ndarray, first: int):
+        """One proposal round for the streams ``keys``, from word ``first`` on.
+
+        Returns (cols, pos): the indices into ``keys`` whose proposal is
+        valid, and their (m*n, L') team->group positions.
         """
         n = self.n
-        L = words.shape[1]
+        L = keys.size
         pos = np.empty((self.m * n, L), dtype=np.int8)
         masks = [np.zeros(L, dtype=np.int64) for _ in range(self.nmasks)]
-        cols = np.arange(L)  # block column of each live proposal
-        for st in self.steps:
+        cols = np.arange(L)  # index into keys of each live proposal
+        for idx, run in self.runs:
             L = cols.size
             if not L:
                 break
+            words = words_np(keys if L == keys.size else keys[cols], np.uint64(first) + idx)
             rows = np.arange(L)
-            if st.hosts is None:
-                pool = np.tile(np.arange(n, dtype=np.int8), (L, 1))
-            else:
-                # open groups in ascending order, as the word layout lists them
-                taken = np.zeros((L, n), dtype=bool)
-                taken[rows, pos[st.hosts]] = True
-                pool = np.nonzero(~taken)[1].astype(np.int8).reshape(L, -1)
-            size = pool.shape[1]
-            block = words[st.words] if L == words.shape[1] else words[st.words, cols]
-            # pick-and-swap: pick i takes flat pool slot picks[i], whose
-            # entry is replaced by the row's last remaining one
-            picks = (block % st.moduli).view(np.intp)
-            picks += rows * size
-            flat = pool.ravel()
-            for i, tid in enumerate(st.tids):
-                pos[tid] = flat[picks[i]]
-                flat[picks[i]] = pool[:, size - 1 - i]
-            ok = None
-            for w, ids, offs, check in st.masks:
-                bits = (1 << (pos[ids] + offs)).sum(axis=0)
-                if check:
-                    clear = (masks[w] & bits) == 0
-                    ok = clear if ok is None else ok & clear
-                masks[w] |= bits
-            if ok is not None and not ok.all():
-                cols, pos = cols[ok], pos[:, ok]
-                masks = [mk[ok] for mk in masks]
+            for st, at, checks in run:
+                if st.hosts is None:
+                    pool = np.tile(np.arange(n, dtype=np.int8), (L, 1))
+                else:
+                    # open groups in ascending order, as the word layout lists them
+                    taken = np.zeros((L, n), dtype=bool)
+                    taken[rows, pos[st.hosts]] = True
+                    pool = np.nonzero(~taken)[1].astype(np.int8).reshape(L, -1)
+                size = pool.shape[1]
+                # pick-and-swap: pick i takes flat pool slot picks[i], whose
+                # entry is replaced by the row's last remaining one
+                picks = (words[at] % st.moduli).view(np.intp)
+                picks += rows * size
+                flat = pool.ravel()
+                for i, tid in enumerate(st.tids):
+                    pos[tid] = flat[picks[i]]
+                    flat[picks[i]] = pool[:, size - 1 - i]
+                ok = None
+                for (w, ids, offs, _), check in zip(st.masks, checks):
+                    bits = (1 << (pos[ids] + offs)).sum(axis=0)
+                    if check:
+                        clear = (masks[w] & bits) == 0
+                        ok = clear if ok is None else ok & clear
+                    masks[w] |= bits
+                if ok is not None and not ok.all():
+                    cols, pos = cols[ok], pos[:, ok]
+                    masks = [mk[ok] for mk in masks]
         for ids, lo, hi in self.counted:
             L = cols.size
             if not L:
@@ -406,8 +433,6 @@ class VectorUniform:
         out_pos = np.empty((T, self.m * self.n), dtype=np.int8)
         proposals = np.zeros(T, dtype=np.int64)
         live = np.arange(T)
-        W = self.words
-        word_idx = np.arange(W, dtype=np.uint64)[:, None]
         p = 0
         while live.size:
             if p >= max_proposals:
@@ -420,8 +445,7 @@ class VectorUniform:
             rejected = []
             for a in range(0, live.size, _ROUND_BLOCK):
                 part = live[a : a + _ROUND_BLOCK]
-                words = words_np(keys[part][None, :], np.uint64(p * W) + word_idx)
-                good, pos = self._round(words)
+                good, pos = self._round(keys[part], p * self.words)
                 done = part[good]
                 out_pos[done] = pos.T
                 proposals[done] = p + 1
@@ -438,10 +462,11 @@ def get_uniform_sampler(instance: Instance, constraints: ConstraintSet) -> Vecto
 
 @dataclass
 class _Step:
-    """One placement step of a proposal round: the host teams, or one pot."""
+    """One placement step of a proposal round: the host teams, or one pot's other teams."""
 
-    words: slice  # word rows of its teams
+    pot: int  # its pot, 1-based, or 0 for the host step
+    words: range  # the word of each of its teams within a proposal
     tids: list  # its teams, in word order
     moduli: np.ndarray  # (len(tids), 1): the pool size at each pick
     hosts: np.ndarray | None  # host teams of the pot, whose groups are closed to it
-    masks: list  # (mask word, team ids, (k, 1) bit offsets, check) per word it touches
+    masks: list  # (mask word, team ids, (k, 1) bit offsets, fields) per word it touches

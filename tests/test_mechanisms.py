@@ -215,6 +215,56 @@ def test_vector_uniform_equals_scalar_at_any_split(case, seed, t0, cuts):
     _assert_three_ways_equal(inst, cs, seed, t0, pos, props)
 
 
+@settings(max_examples=30, deadline=None)
+@given(case=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**20), order=st.randoms())
+def test_vector_uniform_any_valid_step_order_gives_the_same_draws(case, seed, order):
+    inst, cs = _hosted_uniform_case(random.Random(case))
+    vu = VectorUniform(inst, cs)
+    steps = list(vu.steps)
+    order.shuffle(steps)
+    # the host step must still come before every pot whose pool it narrows
+    host = next((st for st in steps if st.pot == 0), None)
+    hosted = [i for i, st in enumerate(steps) if st.hosts is not None]
+    if host is not None and hosted and steps.index(host) > hosted[0]:
+        steps.remove(host)
+        steps.insert(hosted[0], host)
+    vu.steps = steps
+    vu._plan()
+    pos, props = vu.run_trials(seed, 0, 30)
+    _assert_three_ways_equal(inst, cs, seed, 0, pos, props)
+
+
+def test_vector_uniform_step_order_on_ihf(ihf):
+    vu = VectorUniform(ihf, dl.scenario_constraints(31))
+    # the unhosted pots, most [0, 1]-banded first, then the host step (pot 0)
+    assert [st.pot for st in vu.steps] == [4, 3, 0, 1, 2]
+    # pot 3, pot 1 and the last step end the word runs
+    assert [[st.pot for st, _, _ in run] for _, run in vu.runs] == [[4, 3], [0, 1], [2]]
+
+
+@pytest.mark.parametrize(
+    "scenario, words, proposals", [(0, 128_000, 4_000), (17, 753_808, 31_214), (31, 1_372_204, 71_049)]
+)
+def test_vector_uniform_generates_words_only_for_live_proposals(ihf, monkeypatch, scenario, words, proposals):
+    made, rounds = [], []
+    real_words, real_round = mechanisms.words_np, VectorUniform._round
+
+    def words_np(*a):
+        out = real_words(*a)
+        made.append(out.size)
+        return out
+
+    monkeypatch.setattr(mechanisms, "words_np", words_np)
+    monkeypatch.setattr(VectorUniform, "_round", lambda *a: rounds.append(1) or real_round(*a))
+    vu = VectorUniform(ihf, dl.scenario_constraints(scenario))
+    _, props = vu.run_trials(3, 0, 4000)
+    assert (sum(made), int(props.sum())) == (words, proposals)
+    if scenario == 0:  # no step can reject: all m*n words of a round in one call
+        assert len(made) == len(rounds) == 1 and words == ihf.m * ihf.n * proposals
+    else:
+        assert len(rounds) < len(made) <= len(vu.runs) * len(rounds)
+
+
 def _infeasible_toy():
     inst = dl.build_instance(
         [[("a", "Africa"), ("b", "Africa")], [("c", "Africa"), ("d", "Africa")]]
