@@ -12,8 +12,11 @@ teams can only add forced violations, never remove them.  Completability
 (does a valid completion exist?) is decided exactly on the graph of
 canonical states below the query's state, built level by level in numpy;
 states are canonicalised so that groups that look alike are
-interchangeable, which keeps the graph small.  The same builder, rooted at
-the empty state, gives the Skip engine its whole transition table.
+interchangeable, and every full group that meets each band's lo shares one
+closed signature, since it can take no team and break no band any more.
+That keeps the graph small.  Each level is pruned with per-pot tables of
+per-signature band columns, one gather for all bands.  The same builder,
+rooted at the empty state, gives the Skip engine its whole transition table.
 """
 
 from __future__ import annotations
@@ -125,11 +128,14 @@ def count_unattractive(instance, assignment) -> int:
 # signature: first one counter field per band, in band order and
 # hi.bit_length() bits wide, that holds how many of the band's teams the
 # group has; then one bit per pot, set while the group's slot for that pot
-# is open.  A team's type is the set of bands that contain it.  Groups with
-# equal signatures are interchangeable, so a state is the sorted tuple of
-# group signatures plus the remaining team-type counts per pot.  Pots empty
-# in order, so below a given root every state of one level draws from the
-# same pot and has the same number of teams left in every pot.
+# is open.  A team's type is the set of bands that contain it.  A full group
+# that meets every band's lo has no future, so it gets the one closed
+# signature, every counter at its lo; a full group below some lo keeps its
+# own, and the prune rejects its state.  Groups with equal signatures are
+# interchangeable, so a state is the sorted tuple of group signatures plus
+# the remaining team-type counts per pot.  Pots empty in order, so below a
+# given root every state of one level draws from the same pot and has the
+# same number of teams left in every pot.
 # ---------------------------------------------------------------------------
 
 _KEY_BITS = 63  # a child's packed key must fit in a non-negative int64
@@ -168,17 +174,21 @@ class CompletabilityChecker:
             for t in instance.pot_teams(k):
                 row[self.team_type[t.id]] += 1
             self.full_pot_counts.append(tuple(row))
-        # type codes of each band, for the prune's supply counts
-        self.band_types = [
-            [c for c, key in enumerate(self.type_bands) if b in key] for b in range(len(bands))
-        ]
+        # type x band membership, for the prune's supply counts
+        self.band_member = np.array(
+            [[b in key for b in range(len(bands))] for key in self.type_bands], dtype=np.int64
+        ).reshape(self.ntypes, len(bands))
 
         self.empty_group_sig = ((1 << self.m) - 1) << self.open_shift
+        self.closed_sig = sum(lo << shift for shift, _, lo, _ in self.fields)
         self.sig_bits = self.empty_group_sig.bit_length()  # every signature is below 1 << sig_bits
         self._memo = {}  # root state -> completable
 
     def place_sig(self, sig: int, type_code: int, pot_idx: int):
-        """Group state after placing a team type, or None on a taken slot or a broken hi."""
+        """Group state after placing a team type, or None on a taken slot or a broken hi.
+
+        A group that this fills and that meets every band's lo gets ``closed_sig``.
+        """
         open_bit = 1 << (self.open_shift + pot_idx)
         if not sig & open_bit:
             return None
@@ -188,6 +198,9 @@ class CompletabilityChecker:
             if sig >> shift & mask >= hi:
                 return None
             result += 1 << shift
+        full = not result >> self.open_shift
+        if full and all(result >> shift & mask >= lo for shift, mask, lo, _ in self.fields):
+            return self.closed_sig
         return result
 
     def state_of(self, assignment: Assignment):
@@ -279,16 +292,16 @@ class CompletabilityChecker:
         """
         m, n = self.m, self.n
         vals, trans = self._signatures(sigs, remaining)
-        cnt = np.array([vals >> shift & mask for shift, mask, _, _ in self.fields])
         opens = np.zeros((m + 1, vals.size), dtype=np.int8)  # pot m: past the last pot
         opens[:m] = [vals >> (self.open_shift + k) & 1 for k in range(m)]
         full = np.zeros((m + 1, self.ntypes), dtype=np.min_scalar_type(n))
         full[:m] = remaining
         pots = [k for k in range(m) for _ in range(sum(remaining[k]))] + [m]  # pot of each level
+        prune = self._prune_tables(vals, opens, full)
 
         rows = np.searchsorted(vals, sigs).astype(trans.dtype)[None]
         rem = full[pots[0]][None]
-        keep = self._bands_hold(rows, rem, pots[0], full, cnt, opens)
+        keep = self._bands_hold(rows, rem, *prune[pots[0]])
         rows, rem = rows[keep], rem[keep]
         levels, sizes = [], [len(rows)]
         for k, k2 in zip(pots, pots[1:]):
@@ -321,7 +334,7 @@ class CompletabilityChecker:
                     np.hstack([crem[:, ::-1], crow]), axis=0, return_index=True, return_inverse=True
                 )
             crow, crem = crow[first], crem[first]
-            keep = self._bands_hold(crow, crem, k2, full, cnt, opens)
+            keep = self._bands_hold(crow, crem, *prune[k2])
             renumber = np.where(keep, np.cumsum(keep) - 1, -1)
             child = np.full(s.size, -1, dtype=np.int32)
             child[ok] = renumber[inverse.ravel()]
@@ -336,32 +349,42 @@ class CompletabilityChecker:
             comp.append(np.bincount(s[good], minlength=size) > 0)
         return vals, levels, comp[::-1]
 
-    def _bands_hold(self, rows, rem, k, full, cnt, opens) -> np.ndarray:
-        """Which states of a level drawing from pot k pass the band prune.
+    def _prune_tables(self, vals, opens, full) -> list:
+        """Per pot k: the band prune's table by signature id, and the later pots' supply.
 
-        The band teams still to place (its supply) can only go to open slots
+        The band teams still to place (their supply) can only go to open slots
         of the pots that still hold some, at most hi - count per group: every
-        group must still reach lo, the groups' total deficit below lo must
-        fit in the supply, and the supply must fit in what the groups can
-        absorb.  ``rem`` holds each state's counts of pot k; the later pots
-        are as ``full`` has them.
+        group must still reach lo, the groups' total deficit below lo must fit
+        in the supply, and the supply must fit in what the groups can absorb.
+        A table row holds, for every band, without and with the group's pot-k
+        slot (it counts while pot k holds band teams): r < need, need and
+        min(r, hi - count), r being the slots that can take band teams and
+        need lo - count floored at 0.
         """
-        ok = np.ones(len(rows), dtype=bool)
-        at = rows.astype(np.intp)
-        for b, (types, (_, _, lo, hi)) in enumerate(zip(self.band_types, self.fields)):
-            later = full[k + 1 :, types].sum(axis=1)  # per later pot
-            cur = rem[:, types].sum(axis=1, dtype=np.int64)
-            if not lo and not later.any() and not cur.any():
-                continue  # nothing left that could break this band
-            reach = opens[k + 1 :][later > 0].sum(axis=0)
-            # with the slot of pot k where the pot still holds band teams
-            r = np.where((cur > 0)[:, None], (reach + opens[k])[at], reach[at])
-            need = np.maximum(lo - cnt[b], 0)[at]
-            supply = int(later.sum()) + cur
-            ok &= (r >= need).all(axis=1)
-            ok &= need.sum(axis=1) <= supply
-            ok &= supply <= np.minimum(r, (hi - cnt[b])[at]).sum(axis=1)
-        return ok
+        shift, mask, lo, hi = np.array(self.fields, dtype=np.int64).reshape(-1, 4).T
+        cnt = vals[:, None] >> shift & mask
+        need = np.maximum(lo - cnt, 0)
+        supply = full @ self.band_member  # per pot and band
+        tables = []
+        for k in range(self.m + 1):
+            reach = opens[k + 1 :].T @ (supply[k + 1 :] > 0)
+            r = np.stack([reach, reach + opens[k][:, None]], axis=1)  # without, with the slot
+            need_k = np.broadcast_to(need[:, None], r.shape)
+            cols = (r < need_k, need_k, np.minimum(r, (hi - cnt)[:, None]))
+            tables.append((np.stack(cols, axis=2).astype(np.int8), supply[k + 1 :].sum(axis=0)))
+        return tables
+
+    def _bands_hold(self, rows, rem, table, later) -> np.ndarray:
+        """Which states of a level pass the band prune of its pot's table.
+
+        ``rem`` holds each state's type counts of the pot; ``later`` is the
+        later pots' supply per band.
+        """
+        cur = rem @ self.band_member
+        sums = table[rows].sum(axis=1)  # per state: (2, 3, bands)
+        bad, need, cap = np.where((cur > 0)[:, None], sums[:, 1], sums[:, 0]).transpose(1, 0, 2)
+        supply = later + cur
+        return ((bad == 0) & (need <= supply) & (supply <= cap)).all(axis=1)
 
 
 @lru_cache(maxsize=64)

@@ -84,6 +84,8 @@ class SkipEngine:
     All trials of a batch step through the m*n placements together, each
     carrying the id of its canonical state: the sorted group signatures
     plus the remaining type counts, with id 0 for the empty assignment.
+    A group filled with every band's lo met takes the checker's one closed
+    signature, so states that differ only in their full groups share an id.
     Placing a team of type tc into a group of signature s has an outcome
     that depends on (state, s, tc) alone: the group's new signature and the
     child state's id, or a failure when a band's hi breaks or the child is

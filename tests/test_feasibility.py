@@ -300,6 +300,41 @@ def test_completability_graph_does_not_depend_on_key_packing(ihf, monkeypatch):
     assert tables() == packed
 
 
+def test_place_sig_gives_full_groups_that_meet_every_lo_one_closed_signature(ihf):
+    cs = dl.scenario_constraints(31)  # E keeps two or three Europeans in a group
+    checker = CompletabilityChecker(ihf, cs)
+
+    def fill(names):
+        sig = checker.empty_group_sig
+        for k, name in enumerate(names):
+            sig = checker.place_sig(sig, checker.team_type[ihf.team(name).id], k)
+        return sig
+
+    closed = checker.closed_sig
+    assert fill(("Denmark", "Portugal", "Qatar", "Tunisia")) == closed
+    assert fill(("Denmark", "Portugal", "Poland", "Tunisia")) == closed  # three Europeans
+    assert fill(("Germany", "Iceland", "Brazil", "Kuwait")) == closed
+    # one European: the group keeps its own signature, and no state holding it completes
+    broken = fill(("Egypt", "Portugal", "Qatar", "Chile"))
+    assert broken is not None and broken != closed
+    assert broken < 1 << checker.open_shift  # no open slot
+    asg = dl.Assignment.empty(ihf)
+    for name in ("Egypt", "Portugal", "Qatar", "Chile"):
+        asg.place(ihf, ihf.team(name).id, 0)
+    sigs, remaining = checker.state_of(asg)
+    assert broken in sigs
+    assert not checker.completable_state(sigs, remaining)
+    # the closed signature takes no further team
+    assert all(
+        checker.place_sig(closed, tc, k) is None
+        for tc in range(checker.ntypes)
+        for k in range(ihf.m)
+    )
+    # every group of a valid complete assignment is closed
+    valid = dl.draw_trial(ihf, cs, "skip", 1, 0).assignment
+    assert checker.state_of(valid)[0] == (closed,) * ihf.n
+
+
 def test_completable_has_a_completable_extension():
     rng = random.Random(99)
     for _ in range(60):
