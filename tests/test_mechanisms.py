@@ -515,26 +515,32 @@ def test_skip_transition_table_is_built_whole_and_deterministic(ihf):
 
 
 @pytest.mark.parametrize(
-    "scenario, states, codes, succeed",
+    "scenario, states, codes, succeed, built",
     [
-        (0, 57, 104, 80),
-        (1, 156, 414, 320),
-        (17, 410, 1913, 1337),
-        (30, 5307, 55894, 41016),
-        (31, 3772, 39483, 24469),
+        (0, 57, 104, 80, 57),
+        (1, 156, 414, 320, 156),
+        (17, 410, 1913, 1337, 411),
+        (30, 5307, 55894, 41016, 5410),
+        (31, 3772, 39483, 24469, 3819),
     ],
 )
-def test_skip_transition_graph_sizes(ihf, scenario, states, codes, succeed):
+def test_skip_transition_graph_sizes(ihf, scenario, states, codes, succeed, built):
     # completable canonical states and attempt codes below the empty state.
     # Full groups that meet every band's lo share one closed signature, so
     # these are not breadth-first counts over the groups' own signatures,
     # which gave s17 536 / 2477 / 1700, s30 30871 / 226417 / 162184 and s31
     # 12222 / 101475 / 62009 (s0 and s1 have no full groups that differ)
-    engine = get_skip_engine(ihf, dl.scenario_constraints(scenario))
+    cs = dl.scenario_constraints(scenario)
+    engine = get_skip_engine(ihf, cs)
     assert engine._codes.size == codes
     assert np.count_nonzero(engine._outcomes >= 0) == succeed
     # states are numbered densely, and every one but the root is some attempt's child
     assert (engine._outcomes.max() >> engine._sig_bits) + 1 == states
+    # the states that pass the band prune, completable or not: a looser prune
+    # keeps more of them, though it leaves the table as it is
+    checker = feasibility.CompletabilityChecker(ihf, cs)
+    root = checker.state_of(dl.Assignment.empty(ihf))
+    assert sum(c.size for c in checker._build(*root)[2]) == built
 
 
 # ---------------------------------------------------------------------------
