@@ -193,20 +193,35 @@ def _naive_state(inst, asg):
     return groups, todo
 
 
+def _any_partial(rng, inst):
+    """Random partial assignment, whether or not it already breaks a band."""
+    asg = dl.Assignment.empty(inst)
+    share = rng.random()
+    for k in range(inst.m):
+        ids = [t.id for t in inst.pot_teams(k + 1)]
+        rng.shuffle(ids)
+        asg.slots[k] = [tid if rng.random() < share else -1 for tid in ids]
+    return asg
+
+
 def test_completable_matches_brute_force():
     rng = random.Random(424242)
-    checked = 0
-    while checked < 1000:
+    checked = broken = 0
+    while checked < 1500:  # 100 instances
         inst = random_instance(rng, max_pots=3, max_teams=4)
         scenario = rng.randrange(32)
         cs = dl.scenario_constraints(scenario)
-        for _ in range(10):
-            asg = _random_partial(rng, inst, cs)
+        # clean partials, and partials that may already break a band
+        for asg in [_random_partial(rng, inst, cs) for _ in range(10)] + [
+            _any_partial(rng, inst) for _ in range(5)
+        ]:
             got = dl.completable(inst, cs, asg)
             groups, todo = _naive_state(inst, asg)
             expect = _naive_completable(_Rules(inst, cs), groups, todo)
             assert got == expect, (inst.to_document(), scenario, asg.slots)
             checked += 1
+            broken += bool(dl.check_partial(inst, cs, asg))
+    assert broken > 100
 
 
 def test_completable_matches_brute_force_on_deep_skip_partials(ihf):
