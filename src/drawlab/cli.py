@@ -186,7 +186,8 @@ def cmd_probs(args) -> int:
 
 def cmd_pareto(args) -> int:
     try:
-        text = open(args.results).read()
+        with open(args.results) as fh:
+            text = fh.read()
     except OSError as exc:
         raise _IOFailure(str(exc)) from None
     results = experiment.parse_results(text)

@@ -10,8 +10,9 @@ the Uniform sampler and the completability builder all read the bands;
 Violations are monotone in the partial order of assignments: placing more
 teams can only add forced violations, never remove them.  Completability
 (does a valid completion exist?) is decided exactly on the graph of
-canonical states below the query's state, built level by level in numpy;
-states are canonicalised so that groups that look alike are
+canonical states below the query's state, built level by level in numpy,
+where equal children merge by one byte-string key per row whatever its
+width; states are canonicalised so that groups that look alike are
 interchangeable, and every full group that meets each band's lo shares one
 closed signature, since it can take no team and break no band any more.
 That keeps the graph small.  Each level is pruned with per-pot tables of
@@ -138,9 +139,6 @@ def count_unattractive(instance, assignment) -> int:
 # same number of teams left in every pot.
 # ---------------------------------------------------------------------------
 
-_KEY_BITS = 63  # a child's packed key must fit in a non-negative int64
-
-
 class CompletabilityChecker:
     """Exact completability decisions for one (instance, constraint set)."""
 
@@ -226,8 +224,8 @@ class CompletabilityChecker:
             self._memo[key] = bool(self._build(sigs, remaining)[2][0].any())
         return self._memo[key]
 
-    def graph(self, sigs, remaining):
-        """The attempt-code table of the completable states below one canonical state.
+    def graph(self):
+        """The attempt-code table of the completable states below the empty state.
 
         The completable states are numbered level by level, the root first.
         Placing a team of type tc into a group of signature s of state i is
@@ -239,7 +237,8 @@ class CompletabilityChecker:
 
         Returns (completable, codes, outcomes), codes ascending; memoises the root's answer.
         """
-        vals, levels, comp = self._build(sigs, remaining)
+        root = (self.empty_group_sig,) * self.n, tuple(self.full_pot_counts)
+        vals, levels, comp = self._build(*root)
         nt, bits = self.ntypes, self.sig_bits
         # each state's id, or -1 if it is not completable; child -1 reads the trailing -1
         starts = np.cumsum([0] + [c.sum() for c in comp])
@@ -251,7 +250,7 @@ class CompletabilityChecker:
             codes.append((ids[L][s[keep]] << bits | vals[sid[keep]]) * nt + tc[keep])
             child = ids[L + 1][child[keep]]
             outcomes.append(np.where(child >= 0, child << bits | vals[new[keep]], -1))
-        ok = self._memo[sigs, remaining] = bool(comp[0].any())
+        ok = self._memo[root] = bool(comp[0].any())
         return ok, np.concatenate(codes), np.concatenate(outcomes)
 
     # -- the builder ------------------------------------------------------
@@ -280,10 +279,11 @@ class CompletabilityChecker:
 
         A level's states are rows of sorted signature ids plus the type
         counts left in the level's pot.  The forward pass expands each state
-        by every (distinct open signature, type its pot holds) and drops the
-        children that fail the band prune.  The backward pass marks a leaf
-        completable (at a leaf the prune is the lo check) and any other
-        state completable iff one of its children is.
+        by every (distinct open signature, type its pot holds), merges equal
+        children by one byte-string key per row, in the rows' numeric order,
+        and drops the children that fail the band prune.  The backward pass
+        marks a leaf completable (at a leaf the prune is the lo check) and
+        any other state completable iff one of its children is.
 
         Returns (values, levels, comp): the signature values by id; per level
         below the last, the attempts (state, signature id, type, new
@@ -318,21 +318,14 @@ class CompletabilityChecker:
             crem[j, tc[ok]] -= 1
             if k2 != k:  # the pot is empty; the child draws from the next one
                 crem += full[k2]
-            # one packed int64 key per child: its counts in mixed radix, last
-            # type first, then its row over the signatures on the level; rows
-            # too wide for that are compared whole, in the same order
-            local = np.cumsum(np.bincount(crow.ravel(), minlength=vals.size) > 0) - 1
-            bits = max(int(local[-1]), 1).bit_length()
-            radix = np.cumprod(np.concatenate([[1], full[k2].astype(np.int64) + 1]))
-            if bits * n + int(radix[-1] - 1).bit_length() <= _KEY_BITS:
-                key = crem @ radix[:-1]
-                for col in range(n):
-                    key = key << bits | local[crow[:, col]]
-                _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-            else:
-                _, first, inverse = np.unique(
-                    np.hstack([crem[:, ::-1], crow]), axis=0, return_index=True, return_inverse=True
-                )
+            # one byte-string key per child: its counts, last type first, then
+            # its row, as big-endian unsigned ints that compare in row order
+            row = np.hstack([crem[:, ::-1], crow])
+            dtype = np.min_scalar_type(row.max(initial=0)).newbyteorder(">")
+            key = np.ascontiguousarray(row, dtype=dtype).view(
+                np.dtype((np.void, row.shape[1] * dtype.itemsize))
+            )
+            _, first, inverse = np.unique(key.ravel(), return_index=True, return_inverse=True)
             crow, crem = crow[first], crem[first]
             keep = self._bands_hold(crow, crem, *prune[k2])
             renumber = np.where(keep, np.cumsum(keep) - 1, -1)
@@ -394,9 +387,11 @@ def get_checker(instance: Instance, constraints: ConstraintSet) -> Completabilit
 
 
 def completable(instance, constraints, assignment) -> bool:
-    """True iff the partial assignment extends to some valid complete one."""
-    if check_partial(instance, constraints, assignment):
-        return False  # forced violations are permanent
+    """True iff the partial assignment extends to some valid complete one.
+
+    A partial that already breaks a band has none: ``state_of`` rejects a
+    broken hi, and the root's band prune a lo it can no longer reach.
+    """
     checker = get_checker(instance, constraints)
     state = checker.state_of(assignment)
     if state is None:

@@ -112,8 +112,7 @@ class SkipEngine:
         # attempt codes and outcomes as ``CompletabilityChecker.graph`` encodes them
         self._sig_bits = checker.sig_bits
         self._span = checker.ntypes << self._sig_bits  # codes per state
-        root = checker.state_of(Assignment.empty(instance))
-        self.feasible, self._codes, self._outcomes = checker.graph(*root)
+        self.feasible, self._codes, self._outcomes = checker.graph()
 
     def draw_orders(self, keys, offset: int = 0) -> np.ndarray:
         """Per-pot draw orders of a batch of streams: (T, m, n) team ids.

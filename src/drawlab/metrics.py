@@ -133,19 +133,22 @@ def hhi_index(matrices: PairMatrixSet, tol: float = 1e-9):
     Exact (Fraction) inputs give an exact Fraction back; float inputs give a
     float.  Raises if the matrices are not doubly stochastic within ``tol``.
     """
+    return _hhi(matrices, tol)[0]
+
+
+def _hhi(matrices: PairMatrixSet, tol: float):
+    """I_hat and its per-pair contributions (1/n) * sum of squared entries."""
     matrices.check_doubly_stochastic(tol=0 if matrices.exact else tol)
     n = matrices.n
     m = matrices.m
     contributions = {}
     for pair in pot_pairs(m):
         ss = _square_sum(matrices.matrix(*pair))
-        contributions[pair] = (
-            ss * Fraction(1, n) if isinstance(ss, Fraction) else ss / n
-        )
+        contributions[pair] = ss * Fraction(1, n) if isinstance(ss, Fraction) else ss / n
     total = sum(contributions.values())
     if isinstance(total, Fraction):
-        return total * Fraction(2, m * (m - 1))
-    return total * 2.0 / (m * (m - 1))
+        return total * Fraction(2, m * (m - 1)), contributions
+    return total * 2.0 / (m * (m - 1)), contributions
 
 
 def inequality(i_hat, n: int, tol: float = 1e-9):
@@ -163,12 +166,7 @@ def inequality(i_hat, n: int, tol: float = 1e-9):
 
 
 def inequality_report(matrices: PairMatrixSet, tol: float = 1e-9) -> InequalityReport:
-    i_hat = hhi_index(matrices, tol=tol)
-    contributions = {}
-    n = matrices.n
-    for pair in pot_pairs(matrices.m):
-        ss = _square_sum(matrices.matrix(*pair))
-        contributions[pair] = ss * Fraction(1, n) if isinstance(ss, Fraction) else ss / n
+    i_hat, contributions = _hhi(matrices, tol)
     return InequalityReport(i_hat, inequality(i_hat, matrices.n, tol=tol), contributions)
 
 

@@ -4,7 +4,6 @@ import pytest
 
 import drawlab as dl
 from drawlab.errors import IncompleteAssignmentError
-from drawlab import feasibility
 from drawlab.feasibility import CompletabilityChecker, constraint_bands, get_checker
 from drawlab.oracle import _Rules, _naive_completable
 
@@ -253,10 +252,8 @@ def test_completable_matches_brute_force_on_deep_skip_partials(ihf):
 
 
 def test_completable_matches_brute_force_with_many_groups():
-    # 24 groups: a state's sorted row no longer packs into one int64 key, so
-    # the builder compares whole rows.  Every group needs a second European
-    # from pot 2 or 3; some ways to place a blanked pot-3 team leave a group
-    # without one.
+    # 24 groups.  Every group needs a second European from pot 2 or 3; some
+    # ways to place a blanked pot-3 team leave a group without one.
     others = ["Africa", "Asia", "North America", "South America"]
     n = 24
     pots = [[(f"e0_{i}", "Europe") for i in range(n)]]
@@ -297,22 +294,6 @@ def test_completable_matches_brute_force_with_many_groups():
             assert got == _naive_completable(rules, *_naive_state(inst, case)), case.slots
             verdicts.add(got)
     assert verdicts == {True, False}
-
-
-def test_completability_graph_does_not_depend_on_key_packing(ihf, monkeypatch):
-    # a level whose rows do not pack into one int64 key compares whole rows;
-    # that path, taken on every level, must build the same tables
-    def tables():
-        out = []
-        for scenario in (1, 17, 31):
-            checker = CompletabilityChecker(ihf, dl.scenario_constraints(scenario))
-            ok, codes, outcomes = checker.graph(*checker.state_of(dl.Assignment.empty(ihf)))
-            out.append((ok, codes.tobytes(), outcomes.tobytes()))
-        return out
-
-    packed = tables()
-    monkeypatch.setattr(feasibility, "_KEY_BITS", 0)
-    assert tables() == packed
 
 
 def test_place_sig_gives_full_groups_that_meet_every_lo_one_closed_signature(ihf):
