@@ -10,14 +10,14 @@ the Uniform sampler and the completability builder all read the bands;
 Violations are monotone in the partial order of assignments: placing more
 teams can only add forced violations, never remove them.  Completability
 (does a valid completion exist?) is decided exactly on the graph of
-canonical states below the query's state, built level by level in numpy,
-where equal children merge by one byte-string key per row whatever its
-width; states are canonicalised so that groups that look alike are
-interchangeable, and every full group that meets each band's lo shares one
-closed signature, since it can take no team and break no band any more.
-That keeps the graph small.  Each level is pruned with per-pot tables of
-per-signature band columns, one gather for all bands.  The same builder,
-rooted at the empty state, gives the Skip engine its whole transition table.
+canonical states below the query's state, built level by level in numpy
+and merged by one byte-string key per state; states are canonicalised so
+that groups that look alike are interchangeable, and every full group that
+meets each band's lo shares one closed signature, since it can take no team
+and break no band any more.  That keeps the graph small.  Each level is
+pruned with per-pot tables of per-signature band columns, one gather for
+all bands.  The same builder, rooted at the empty state, gives the Skip
+engine its whole transition table.
 """
 
 from __future__ import annotations
@@ -318,19 +318,14 @@ class CompletabilityChecker:
             crem[j, tc[ok]] -= 1
             if k2 != k:  # the pot is empty; the child draws from the next one
                 crem += full[k2]
-            # one byte-string key per child: its counts, last type first, then
-            # its row, as big-endian unsigned ints that compare in row order
-            row = np.hstack([crem[:, ::-1], crow])
-            dtype = np.min_scalar_type(row.max(initial=0)).newbyteorder(">")
-            key = np.ascontiguousarray(row, dtype=dtype).view(
-                np.dtype((np.void, row.shape[1] * dtype.itemsize))
-            )
-            _, first, inverse = np.unique(key.ravel(), return_index=True, return_inverse=True)
+            # one key per child: its counts, last type first, then its row
+            key = _row_keys(crem[:, ::-1], crow)
+            _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
             crow, crem = crow[first], crem[first]
             keep = self._bands_hold(crow, crem, *prune[k2])
             renumber = np.where(keep, np.cumsum(keep) - 1, -1)
             child = np.full(s.size, -1, dtype=np.int32)
-            child[ok] = renumber[inverse.ravel()]
+            child[ok] = renumber[inverse]
             levels.append((s.astype(np.int32), sid, tc.astype(np.int8), new, child))
             rows, rem = crow[keep], crem[keep]
             sizes.append(len(rows))
@@ -380,6 +375,18 @@ class CompletabilityChecker:
         return ((bad == 0) & (need <= supply) & (supply <= cap)).all(axis=1)
 
 
+def _row_keys(*blocks) -> np.ndarray:
+    """One byte string per row of the side-by-side blocks of non-negative ints.
+
+    The rows are cast to the narrowest big-endian unsigned ints that hold
+    them, whose bytes compare in the rows' numeric lexicographic order.
+    """
+    top = max(block.max(initial=0) for block in blocks)
+    dtype = np.min_scalar_type(top).newbyteorder(">")
+    rows = np.hstack(blocks, dtype=dtype, casting="unsafe")
+    return rows.view(np.dtype((np.void, rows.shape[1] * dtype.itemsize))).ravel()
+
+
 @lru_cache(maxsize=64)
 def get_checker(instance: Instance, constraints: ConstraintSet) -> CompletabilityChecker:
     """The shared checker, and so the shared completability memo, of one cell's constraints."""
@@ -387,13 +394,9 @@ def get_checker(instance: Instance, constraints: ConstraintSet) -> Completabilit
 
 
 def completable(instance, constraints, assignment) -> bool:
-    """True iff the partial assignment extends to some valid complete one.
-
-    A partial that already breaks a band has none: ``state_of`` rejects a
-    broken hi, and the root's band prune a lo it can no longer reach.
-    """
+    """True iff the partial assignment extends to some valid complete one."""
     checker = get_checker(instance, constraints)
-    state = checker.state_of(assignment)
+    state = checker.state_of(assignment)  # None on a broken hi; the prune rejects a lost lo
     if state is None:
         return False
     return checker.completable_state(*state)

@@ -1,10 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 
 import drawlab as dl
 from drawlab.errors import IncompleteAssignmentError
-from drawlab.feasibility import CompletabilityChecker, constraint_bands, get_checker
+from drawlab.feasibility import CompletabilityChecker, _row_keys, constraint_bands, get_checker
 from drawlab.oracle import _Rules, _naive_completable
 
 from conftest import random_instance
@@ -294,6 +295,23 @@ def test_completable_matches_brute_force_with_many_groups():
             assert got == _naive_completable(rules, *_naive_state(inst, case)), case.slots
             verdicts.add(got)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("top", [3, 300, 70_000])
+def test_row_keys_sort_like_the_rows(top):
+    # the builder numbers a level's children in key order, which must be the
+    # rows' numeric order whatever byte width their largest value needs
+    rng = np.random.default_rng(top)
+    pool = rng.integers(0, top + 1, size=(50, 4))
+    pool[0, 3] = top
+    pick = rng.integers(0, 50, size=300)
+    counts = rng.integers(0, 3, size=(50, 2)).astype(np.uint8)[pick]
+    rows = pool[pick]
+    got = np.unique(_row_keys(counts, rows), return_index=True, return_inverse=True)
+    want = np.unique(np.hstack([counts, rows]), axis=0, return_index=True, return_inverse=True)
+    assert np.array_equal(got[1], want[1])
+    assert np.array_equal(got[2].ravel(), want[2].ravel())
+    assert _row_keys(counts[:0], rows[:0]).size == 0
 
 
 def test_place_sig_gives_full_groups_that_meet_every_lo_one_closed_signature(ihf):

@@ -530,8 +530,7 @@ def test_skip_transition_graph_sizes(ihf, scenario, states, codes, succeed):
     # these are not breadth-first counts over the groups' own signatures,
     # which gave s17 536 / 2477 / 1700, s30 30871 / 226417 / 162184 and s31
     # 12222 / 101475 / 62009 (s0 and s1 have no full groups that differ)
-    cs = dl.scenario_constraints(scenario)
-    engine = get_skip_engine(ihf, cs)
+    engine = get_skip_engine(ihf, dl.scenario_constraints(scenario))
     assert engine._codes.size == codes
     assert np.count_nonzero(engine._outcomes >= 0) == succeed
     # states are numbered densely, and every one but the root is some attempt's child
