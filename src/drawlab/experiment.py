@@ -86,21 +86,6 @@ class ParetoResult:
 # ---------------------------------------------------------------------------
 
 
-def _unattractive(pos: np.ndarray, conf: np.ndarray, nconf: int) -> np.ndarray:
-    """Same-confederation pairs per assignment of a (T, m*n) batch.
-
-    Sorting each row's (group, confederation) codes puts equal codes in
-    runs; a team's offset within its run counts the pairs it closes, so the
-    row sum of offsets is the sum of C(run length, 2).
-    """
-    codes = pos.astype(np.int32) * nconf + conf
-    codes.sort(axis=1)
-    idx = np.arange(1, codes.shape[1], dtype=np.int32)
-    starts = np.where(codes[:, 1:] == codes[:, :-1], 0, idx)
-    np.maximum.accumulate(starts, axis=1, out=starts)
-    return (idx - starts).sum(axis=1)
-
-
 def _shard(instance, constraints, mechanism, seed, lo, hi, max_proposals):
     """Integer counters of trials [lo, hi) of one cell, accumulated batch by batch."""
     if mechanism == "uniform":
@@ -117,17 +102,16 @@ def _shard(instance, constraints, mechanism, seed, lo, hi, max_proposals):
         def draw(a, b):
             return engine.run_trials(seed, a, b), None
 
-    conf = np.array([t.confederation for t in instance.teams], dtype=np.int32)
-    nconf = len(instance.confederations)
     acc = MatrixAccumulator(instance.m, instance.n)
+    confs = [[t.confederation for t in instance.pot_teams(k)] for k in range(1, instance.m + 1)]
+    same_conf = acc.pair_table(np.array(confs))
     hist = np.zeros(1, dtype=np.int64)
     proposals = 0
     for start in range(lo, hi, batch):
         pos, props = draw(start, min(start + batch, hi))
         if props is not None:
             proposals += int(props.sum())
-        acc.add_pos_batch(pos)
-        u = _unattractive(pos, conf, nconf)
+        u = same_conf[acc.add_pos_batch(pos)].sum(axis=1)  # unattractive matches per trial
         top = int(u.max()) + 1
         if top > hist.size:
             hist = np.concatenate([hist, np.zeros(top - hist.size, dtype=np.int64)])
@@ -252,6 +236,7 @@ def _run_cells(instance, cells, trials, seed, workers, max_proposals) -> list:
         raise ValueError("trials must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    MatrixAccumulator(instance.m, instance.n)  # raises on too many groups or group compositions
     shards = _shard_ranges(trials, -(-workers // max(len(cells), 1)))
     tasks = [
         (instance, s, mech, seed, lo, hi, max_proposals) for s, mech in cells for lo, hi in shards

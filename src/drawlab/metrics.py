@@ -13,7 +13,9 @@ contributes (1/n) * sum(p_ij^2):
 
 I = 0 means every permitted opponent is equally likely; I = 1 means the
 draw is deterministic.  All accumulation is in 64-bit integer counts so
-shards merge exactly; division happens only at reporting time.
+shards merge exactly; division happens only at reporting time.  A batch
+is counted by group composition, each pot's team one base-n digit, pot 1
+first; the pot-pair counts are marginals of its n**m <= 2**20 bin histogram.
 """
 
 from __future__ import annotations
@@ -80,30 +82,48 @@ class MatrixAccumulator:
 
     Each complete assignment adds one count per group per pot pair, so after
     N trials every row and column of every count slice sums to exactly N.
+    A group's composition code is the flat index of its teams' pot-local
+    indices in ``grid`` (one axis of n per pot, pot 1 first); the counts are
+    2-D marginals of the codes' int64 histogram, of n**m <= 2**20 bins (8 MB).
+    The samplers give int8 groups, so n <= 128.
     """
 
     def __init__(self, m: int, n: int):
+        if n > 128 or n**m > 2**20:
+            raise ValueError(f"at most 128 groups and 2**20 group compositions (got {n}**{m})")
         self.m = m
         self.n = n
+        self.grid = (n,) * m
         self.pairs = pot_pairs(m)
-        self.pair_index = {p: i for i, p in enumerate(self.pairs)}
+        self.marginal_axes = [tuple(set(range(m)) - {k - 1, l - 1}) for k, l in self.pairs]
         self.counts = np.zeros((len(self.pairs), n, n), dtype=np.int64)
         self.trials = 0
 
-    def add_pos_batch(self, pos: np.ndarray) -> None:
-        """Accumulate a (T, m*n) batch of team->group assignments."""
+    def add_pos_batch(self, pos: np.ndarray) -> np.ndarray:
+        """Accumulate a (T, m*n) batch of team->group assignments; return its (T, n) codes."""
         T = pos.shape[0]
-        if T == 0:
-            return
-        n = self.n
-        cols = [pos[:, k * n : (k + 1) * n] for k in range(self.m)]
-        invs = [np.argsort(c, axis=1) for c in cols]
-        local = np.arange(n, dtype=np.int64)[None, :] * n
-        for idx, (k, l) in enumerate(self.pairs):
-            partner = np.take_along_axis(invs[l - 1], cols[k - 1], axis=1)
-            flat = (local + partner).ravel()
-            self.counts[idx] += np.bincount(flat, minlength=n * n).reshape(n, n)
+        m, n = self.m, self.n
+        # group * n + local sorts a pot's teams by group: slot g ends up
+        # holding g * n + the local index of the pot's team in group g
+        # (n <= 128, so the keys, below n * n, fit int16)
+        key = pos.reshape(T, m, n).astype(np.int16)
+        key *= n
+        key += np.arange(n, dtype=np.int16)
+        key.sort(axis=2)
+        key -= np.arange(0, n * n, n, dtype=np.int16)
+        codes = np.ravel_multi_index(tuple(key[:, k] for k in range(m)), self.grid)
+        hist = np.bincount(codes.ravel(), minlength=n**m).reshape(self.grid)
+        for idx, axes in enumerate(self.marginal_axes):
+            self.counts[idx] += hist.sum(axis=axes)
         self.trials += T
+        return codes
+
+    def pair_table(self, labels) -> np.ndarray:
+        """Per code: pot pairs whose teams share a label (``labels[k - 1][i]``: pot k's team i)."""
+        table = np.zeros(self.grid, dtype=np.intp)
+        for (k, l), axes in zip(self.pairs, self.marginal_axes):
+            table += np.expand_dims(np.equal.outer(labels[k - 1], labels[l - 1]), axes)
+        return table.ravel()
 
     def add_raw(self, counts: np.ndarray, trials: int) -> None:
         self.counts += counts

@@ -71,6 +71,19 @@ def random_instance(rng: random.Random, max_pots=3, max_teams=4, host=True):
     )
 
 
+def many_groups_instance():
+    """24 groups of three pots: pot 1 all European, pots 2 and 3 half so."""
+    others = ["Africa", "Asia", "North America", "South America"]
+    n = 24
+    pots = [[(f"e0_{i}", "Europe") for i in range(n)]]
+    for k in (1, 2):
+        pots.append(
+            [(f"e{k}_{i}", "Europe") for i in range(n // 2)]
+            + [(f"o{k}_{i}", others[i % 4]) for i in range(n // 2)]
+        )
+    return dl.build_instance(pots, europe="Europe")
+
+
 def random_feasible_case(rng: random.Random, max_pots=3, max_teams=4, budget=200000):
     """(instance, constraints, exact uniform distribution), guaranteed feasible."""
     while True:

@@ -50,6 +50,22 @@ def test_sweep_rejects_bad_trials_before_any_shard_runs(ihf, monkeypatch):
             dl.run_scenario(ihf, 0, "skip", 100, 1, workers=workers)
 
 
+def test_run_scenario_rejects_too_many_groups_or_compositions_before_any_shard_runs(monkeypatch):
+    def no_shard(args):
+        raise AssertionError("a shard ran")
+
+    monkeypatch.setattr(experiment, "_run_shard", no_shard)
+    # 8**7 = 2**21 compositions of a group, one histogram bin each; and 130
+    # groups, more than the samplers' int8 group ids can hold
+    for m, n in ((7, 8), (2, 130)):
+        inst = dl.build_instance([[(f"t{k}_{i}", "Europe") for i in range(n)] for k in range(m)])
+        for mech in ("uniform", "skip"):
+            with pytest.raises(ValueError, match="at most 128 groups and 2\\*\\*20 group"):
+                dl.run_scenario(inst, 0, mech, 100, 1)
+    dl.MatrixAccumulator(4, 32)  # exactly 2**20
+    dl.MatrixAccumulator(2, 128)
+
+
 def test_run_scenario_infeasible():
     inst = dl.build_instance(
         [[("a", "Africa"), ("b", "Africa")], [("c", "Africa"), ("d", "Africa")]]

@@ -8,7 +8,7 @@ from drawlab.errors import IncompleteAssignmentError
 from drawlab.feasibility import CompletabilityChecker, _row_keys, constraint_bands, get_checker
 from drawlab.oracle import _Rules, _naive_completable
 
-from conftest import random_instance
+from conftest import many_groups_instance, random_instance
 
 
 def canonical_assignment(ihf):
@@ -252,18 +252,29 @@ def test_completable_matches_brute_force_on_deep_skip_partials(ihf):
     assert verdicts == {True, False}
 
 
+def test_band_prune_counts_a_slot_only_while_its_pot_holds_band_teams():
+    # The states that pass the prune, completable or not.  A looser prune
+    # that counts each group's open slot in the current pot for every band,
+    # even once that pot holds no more of the band's teams, keeps 16 and 23.
+    inst = dl.build_instance(
+        [
+            [("t0", "Europe"), ("t1", "Africa"), ("t2", "Asia")],
+            [("t3", "Europe"), ("t4", "Asia"), ("t5", "Europe")],
+            [("t6", "Europe"), ("t7", "Europe"), ("t8", "Europe")],
+        ],
+        europe="Europe",
+    )
+    for scenario, built in ((1, 15), (17, 21)):
+        checker = CompletabilityChecker(inst, dl.scenario_constraints(scenario))
+        root = checker.state_of(dl.Assignment.empty(inst))
+        assert sum(c.size for c in checker._build(*root)[2]) == built, scenario
+
+
 def test_completable_matches_brute_force_with_many_groups():
     # 24 groups.  Every group needs a second European from pot 2 or 3; some
     # ways to place a blanked pot-3 team leave a group without one.
-    others = ["Africa", "Asia", "North America", "South America"]
-    n = 24
-    pots = [[(f"e0_{i}", "Europe") for i in range(n)]]
-    for k in (1, 2):
-        pots.append(
-            [(f"e{k}_{i}", "Europe") for i in range(n // 2)]
-            + [(f"o{k}_{i}", others[i % 4]) for i in range(n // 2)]
-        )
-    inst = dl.build_instance(pots, europe="Europe")
+    inst = many_groups_instance()
+    n = inst.n
     cs = dl.scenario_constraints(31)
     rules = _Rules(inst, cs)
     rng = random.Random(7)

@@ -8,6 +8,8 @@ import drawlab as dl
 from drawlab.metrics import pot_pairs
 from drawlab.oracle import _Rules, _Tally
 
+from conftest import many_groups_instance, random_instance
+
 
 def uniform_set(m, n):
     mats = {
@@ -139,21 +141,63 @@ def test_accumulate_counts_per_pair(ihf):
         assert set(np.unique(mat)) <= {0.0, 1.0}  # permutation matrix
 
 
-def test_add_pos_batch_matches_scalar(ihf):
-    rows = _random_rows(ihf, 40, 17)
+def _accumulator_instance(name):
+    if name == "ihf2025":
+        return dl.get_instance("ihf2025")
+    if name == "24 groups":
+        return many_groups_instance()
+    # seeds 0-15 draw m 2-5 and n 3-9, odd n included
+    return random_instance(random.Random(int(name)), max_pots=5, max_teams=9)
+
+
+@pytest.mark.parametrize("name", ["ihf2025", "24 groups"] + [str(seed) for seed in range(16)])
+def test_add_pos_batch_matches_scalar(name):
+    inst = _accumulator_instance(name)
+    m, n = inst.m, inst.n
+    rows = _random_rows(inst, 40, 17)
     # the oracle's tally counts from grid[k][g] = team id of pot k+1 in group g
-    tally = _Tally(ihf)
-    rules = _Rules(ihf, dl.scenario_constraints(0))
+    tally = _Tally(inst)
+    rules = _Rules(inst, dl.scenario_constraints(0))
     for row in rows.tolist():
-        grid = [[-1] * ihf.n for _ in range(ihf.m)]
+        grid = [[-1] * n for _ in range(m)]
         for tid, g in enumerate(row):
-            grid[tid // ihf.n][g] = tid
+            grid[tid // n][g] = tid
         tally.add(grid, rules)
-    batch = dl.MatrixAccumulator(ihf.m, ihf.n)
-    batch.add_pos_batch(rows)
+    batch = dl.MatrixAccumulator(m, n)
+    codes = batch.add_pos_batch(rows)
     for i, pair in enumerate(batch.pairs):
         assert batch.counts[i].tolist() == tally.pair_counts[pair], pair
     assert batch.trials == tally.total == 40
+    # a code's base-n digits, pot 1 first, are the pot-local teams of its group
+    assert codes.shape == (40, n)
+    for row, row_codes in zip(rows.tolist(), codes.tolist()):
+        for g, code in enumerate(row_codes):
+            digits = []
+            for _ in range(m):
+                code, digit = divmod(code, n)
+                digits.append(digit)
+            assert code == 0
+            assert digits[::-1] == [row[k * n : (k + 1) * n].index(g) for k in range(m)]
+
+
+def test_pair_table_counts_unattractive_matches():
+    # confederation labels per pot-local team give each trial's unattractive
+    # matches as a table lookup per group
+    confs_seen, hosted = set(), 0
+    for seed in range(12):
+        inst = random_instance(random.Random(seed), max_pots=5, max_teams=9)
+        confs_seen |= {inst.confederations[t.confederation].name for t in inst.teams}
+        hosted += bool(inst.host_exclusion)
+        acc = dl.MatrixAccumulator(inst.m, inst.n)
+        confs = [[t.confederation for t in inst.pot_teams(k)] for k in range(1, inst.m + 1)]
+        rows = _random_rows(inst, 30, seed)
+        unattractive = acc.pair_table(np.array(confs))[acc.add_pos_batch(rows)].sum(axis=1)
+        for row, u in zip(rows.tolist(), unattractive.tolist()):
+            asg = dl.Assignment.empty(inst)
+            for tid, g in enumerate(row):
+                asg.place(inst, tid, g)
+            assert u == dl.count_unattractive(inst, asg)
+    assert len(confs_seen) == 5 and hosted > 0
 
 
 def test_pair_matrices_zero_trials(ihf):
