@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -24,20 +25,6 @@ from .model import Instance, scenario_constraints
 RESULTS_SCHEMA = "drawlab.results/1"
 _CHUNK = 1 << 16  # Uniform trials per batch
 _SKIP_BATCH = 2048  # Skip trials per batch; bounds the kernel's per-step arrays
-
-CSV_COLUMNS = (
-    "scenario",
-    "mechanism",
-    "trials",
-    "seed",
-    "mean_unattractive",
-    "stderr_unattractive",
-    "I",
-    "stderr_I",
-    "feasible_proportion",
-    "elapsed_ms",
-)
-
 
 @dataclass
 class ScenarioResult:
@@ -105,16 +92,14 @@ def _shard(instance, constraints, mechanism, seed, lo, hi, max_proposals):
     acc = MatrixAccumulator(instance.m, instance.n)
     confs = [[t.confederation for t in instance.pot_teams(k)] for k in range(1, instance.m + 1)]
     same_conf = acc.pair_table(np.array(confs))
-    hist = np.zeros(1, dtype=np.int64)
+    # an assignment has at most n * same_conf.max() unattractive matches
+    hist = np.zeros(instance.n * int(same_conf.max()) + 1, dtype=np.int64)
     proposals = 0
     for start in range(lo, hi, batch):
         pos, props = draw(start, min(start + batch, hi))
         if props is not None:
             proposals += int(props.sum())
         u = same_conf[acc.add_pos_batch(pos)].sum(axis=1)  # unattractive matches per trial
-        top = int(u.max()) + 1
-        if top > hist.size:
-            hist = np.concatenate([hist, np.zeros(top - hist.size, dtype=np.int64)])
         hist += np.bincount(u, minlength=hist.size)
     return acc.counts, acc.trials, hist, proposals if mechanism == "uniform" else None
 
@@ -130,10 +115,7 @@ def _run_shard(args):
 def _merge_shards(parts):
     counts = sum(p[0] for p in parts)
     trials = sum(p[1] for p in parts)
-    top = max(p[2].size for p in parts)
-    hist = np.zeros(top, dtype=np.int64)
-    for p in parts:
-        hist[: p[2].size] += p[2]
+    hist = sum(p[2] for p in parts)
     proposals = None
     if parts[0][3] is not None:
         proposals = sum(p[3] for p in parts)
@@ -313,62 +295,59 @@ def pareto_frontier(points) -> ParetoResult:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    return repr(float(x))
+# Every exported ScenarioResult field, in structured key order: its attribute,
+# its structured key and its table-column parser (None: structured format only).
+_FIELDS = (
+    ("scenario", "scenario", int),
+    ("mechanism", "mechanism", str),
+    ("trials", "trials", int),
+    ("seed", "seed", int),
+    ("mean_unattractive", "mean_unattractive", float),
+    ("stderr_unattractive", "stderr_unattractive", float),
+    ("i_hat", "I_hat", None),
+    ("inequality", "I", float),
+    ("stderr_i", "stderr_I", float),
+    ("feasible_proportion", "feasible_proportion", float),
+    ("histogram", "histogram", None),
+    ("m", "m", None),
+    ("n", "n", None),
+    ("elapsed_ms", "elapsed_ms", float),
+    ("matrix_counts", "matrix_counts", None),
+)
+_COLUMNS = [f for f in _FIELDS if f[2] is not None]
+CSV_COLUMNS = tuple(key for _, key, _ in _COLUMNS)
+_STRUCTURED_ONLY = [a for a, _, parse in _FIELDS if parse is None]
+_DEFAULTED = {f.name for f in fields(ScenarioResult) if f.default is not MISSING}
+_NEEDED = {k for a, k, _ in _FIELDS if a not in _DEFAULTED}  # keys of every structured row
+_TABLE_LACKS = {a: None for a in _STRUCTURED_ONLY if a not in _DEFAULTED}  # read back as None
+_OPTIONAL = {a for a, t in get_type_hints(ScenarioResult).items() if type(None) in get_args(t)}
+
+
+def _cell(value, parse) -> str:
+    return "" if value is None else repr(float(value)) if parse is float else str(value)
+
+
+def _json_row(r) -> dict:
+    row = {}
+    for a, k, _ in _FIELDS:
+        v = getattr(r, a)
+        if isinstance(v, dict):  # a histogram: JSON keys are strings
+            v = {str(c): n for c, n in sorted(v.items())}
+        if v is not None or a not in _DEFAULTED:  # a None that is the default stays out
+            row[k] = v.tolist() if isinstance(v, np.ndarray) else v
+    return row
 
 
 def export_results(results, fmt: str = "table") -> str:
     """Render results as delimited text ("table") or JSON ("structured")."""
     results = sorted(results, key=lambda r: (r.scenario, r.mechanism))
     if fmt == "table":
-        lines = [f"# {RESULTS_SCHEMA}", ",".join(CSV_COLUMNS)]
-        for r in results:
-            lines.append(
-                ",".join(
-                    [
-                        str(r.scenario),
-                        r.mechanism,
-                        str(r.trials),
-                        str(r.seed),
-                        _fmt(r.mean_unattractive),
-                        _fmt(r.stderr_unattractive),
-                        _fmt(r.inequality),
-                        _fmt(r.stderr_i),
-                        _fmt(r.feasible_proportion),
-                        _fmt(r.elapsed_ms),
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
+        rows = [",".join([_cell(getattr(r, a), p) for a, _, p in _COLUMNS]) for r in results]
+        return "\n".join([f"# {RESULTS_SCHEMA}", ",".join(CSV_COLUMNS)] + rows) + "\n"
     if fmt == "structured":
-        payload = {"schema": RESULTS_SCHEMA, "results": []}
-        for r in results:
-            row = {
-                "scenario": r.scenario,
-                "mechanism": r.mechanism,
-                "trials": r.trials,
-                "seed": r.seed,
-                "mean_unattractive": r.mean_unattractive,
-                "stderr_unattractive": r.stderr_unattractive,
-                "I_hat": r.i_hat,
-                "I": r.inequality,
-                "stderr_I": r.stderr_i,
-                "feasible_proportion": r.feasible_proportion,
-                "histogram": (
-                    None
-                    if r.histogram is None
-                    else {str(k): v for k, v in sorted(r.histogram.items())}
-                ),
-                "m": r.m,
-                "n": r.n,
-                "elapsed_ms": r.elapsed_ms,
-            }
-            if r.matrix_counts is not None:
-                row["matrix_counts"] = r.matrix_counts.tolist()
-            payload["results"].append(row)
-        return json.dumps(payload, indent=2) + "\n"
+        payload = {"schema": RESULTS_SCHEMA, "results": [_json_row(r) for r in results]}
+        # every row is built afresh, so nothing can hold a cycle
+        return json.dumps(payload, indent=2, check_circular=False) + "\n"
     raise ValueError(f"unknown format {fmt!r} (use 'table' or 'structured')")
 
 
@@ -377,96 +356,70 @@ def export_histograms(results) -> str:
     results = sorted(results, key=lambda r: (r.scenario, r.mechanism))
     cell_probs = [r.histogram_probs for r in results]
     values = sorted({v for probs in cell_probs for v in probs})
-    lines = [f"# {RESULTS_SCHEMA} histograms"]
-    lines.append(",".join(["scenario", "mechanism", "trials"] + [str(v) for v in values]))
+    ids = _COLUMNS[:3]  # the cell and its trial count
+    header = [k for _, k, _ in ids] + [str(v) for v in values]
+    lines = [f"# {RESULTS_SCHEMA} histograms", ",".join(header)]
     for r, probs in zip(results, cell_probs):
-        lines.append(
-            ",".join(
-                [str(r.scenario), r.mechanism, str(r.trials)]
-                + [_fmt(probs.get(v, 0.0)) for v in values]
-            )
-        )
+        masses = [repr(float(probs.get(v, 0.0))) for v in values]
+        lines.append(",".join([_cell(getattr(r, a), p) for a, _, p in ids] + masses))
     return "\n".join(lines) + "\n"
 
 
 def parse_results(text: str):
-    """Read back either export format into ScenarioResult rows."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    """Read back either export format into ScenarioResult rows (ResultFormatError if neither)."""
+    if text.lstrip().startswith("{"):
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ResultFormatError(f"malformed structured results: {exc}") from None
         if payload.get("schema") != RESULTS_SCHEMA:
             raise ResultFormatError(f"unknown schema {payload.get('schema')!r}")
-        out = []
-        for row in payload["results"]:
-            counts = row.get("matrix_counts")
-            hist = row["histogram"]
-            out.append(
-                ScenarioResult(
-                    scenario=row["scenario"],
-                    mechanism=row["mechanism"],
-                    trials=row["trials"],
-                    seed=row["seed"],
-                    mean_unattractive=row["mean_unattractive"],
-                    stderr_unattractive=row["stderr_unattractive"],
-                    i_hat=row["I_hat"],
-                    inequality=row["I"],
-                    stderr_i=row["stderr_I"],
-                    feasible_proportion=row["feasible_proportion"],
-                    histogram=None if hist is None else {int(k): v for k, v in hist.items()},
-                    elapsed_ms=row["elapsed_ms"],
-                    m=row.get("m", 0),
-                    n=row.get("n", 0),
-                    matrix_counts=np.array(counts, dtype=np.int64) if counts else None,
-                )
-            )
-        return out
+        if not isinstance(payload.get("results"), list):
+            raise ResultFormatError("structured results need a 'results' list")
+        return [_structured_row(row) for row in payload["results"]]
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith(f"# {RESULTS_SCHEMA}"):
-        raise ResultFormatError("missing drawlab results schema header")
-    header = lines[1].split(",")
-    if tuple(header) != CSV_COLUMNS:
-        raise ResultFormatError(f"unexpected columns: {header}")
-    out = []
-    for ln in lines[2:]:
-        parts = ln.split(",")
-        row = dict(zip(CSV_COLUMNS, parts))
-        out.append(
-            ScenarioResult(
-                scenario=int(row["scenario"]),
-                mechanism=row["mechanism"],
-                trials=int(row["trials"]),
-                seed=int(row["seed"]),
-                mean_unattractive=float(row["mean_unattractive"]),
-                stderr_unattractive=float(row["stderr_unattractive"]),
-                i_hat=None,  # not in the table format
-                inequality=float(row["I"]),
-                stderr_i=float(row["stderr_I"]),
-                feasible_proportion=(
-                    float(row["feasible_proportion"]) if row["feasible_proportion"] else None
-                ),
-                histogram=None,
-                elapsed_ms=float(row["elapsed_ms"]),
-            )
-        )
-    return out
+    head = [f"# {RESULTS_SCHEMA}", ",".join(CSV_COLUMNS)]
+    if len(lines) < 2 or not lines[0].startswith(head[0]) or lines[1] != head[1]:
+        raise ResultFormatError(f"a results table starts with the lines {head}")
+    return [_table_row(ln.split(",")) for ln in lines[2:]]
+
+
+def _structured_row(row) -> ScenarioResult:
+    if not (isinstance(row, dict) and row.keys() >= _NEEDED):
+        raise ResultFormatError(f"each structured result is an object with keys {sorted(_NEEDED)}")
+    values = {a: row[k] for a, k, _ in _FIELDS if k in row}
+    for a in _STRUCTURED_ONLY:  # a table column holds a scalar, so only these hold containers
+        v = values.get(a)
+        if isinstance(v, dict):  # a histogram: JSON keys are strings
+            values[a] = {int(c): n for c, n in v.items()}
+        elif isinstance(v, list):
+            values[a] = np.array(v, dtype=np.int64) if v else None
+    return ScenarioResult(**values)
+
+
+def _table_row(cells) -> ScenarioResult:
+    if len(cells) != len(_COLUMNS):
+        raise ResultFormatError(f"a table row needs {len(_COLUMNS)} cells: {','.join(cells)}")
+    values = dict(_TABLE_LACKS)  # and the table's other missing fields take their default
+    for (a, k, parse), cell in zip(_COLUMNS, cells):
+        try:
+            values[a] = parse(cell) if cell or a not in _OPTIONAL else None
+        except ValueError:
+            raise ResultFormatError(f"bad {k} cell {cell!r} in row {','.join(cells)}") from None
+    return ScenarioResult(**values)
 
 
 def strip_metadata(document: str) -> str:
     """Drop elapsed-time metadata so deterministic outputs compare equal."""
-    stripped = document.lstrip()
-    if stripped.startswith("{"):
+    timer = "elapsed_ms"
+    if document.lstrip().startswith("{"):
         payload = json.loads(document)
         for row in payload.get("results", []):
-            row.pop("elapsed_ms", None)
+            row.pop(timer, None)
         return json.dumps(payload, indent=2) + "\n"
     lines = document.splitlines()
-    if len(lines) >= 2 and lines[1].split(",") == list(CSV_COLUMNS):
-        keep = [lines[0], ",".join(CSV_COLUMNS[:-1])]
-        for ln in lines[2:]:
-            if ln.strip():
-                keep.append(",".join(ln.split(",")[:-1]))
-        return "\n".join(keep) + "\n"
-    return document
+    if len(lines) < 2 or tuple(lines[1].split(",")) != CSV_COLUMNS:
+        return document
+    drop = CSV_COLUMNS.index(timer)
+    rows = [ln.split(",") for ln in lines[1:] if ln.strip()]
+    return "\n".join([lines[0]] + [",".join(r[:drop] + r[drop + 1 :]) for r in rows]) + "\n"

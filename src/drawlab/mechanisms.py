@@ -66,6 +66,12 @@ def trial_stream(seed: int, mechanism: str, scenario: int, trial: int) -> RngStr
     return RngStream(seed, _MECH_CODE[mechanism], scenario, trial)
 
 
+def _check_groups(instance: Instance) -> None:
+    """Both samplers hold group ids as int8."""
+    if instance.n > 128:
+        raise ValueError(f"the samplers support at most 128 groups (got {instance.n})")
+
+
 def _pos_to_assignment(instance: Instance, pos) -> Assignment:
     asg = Assignment.empty(instance)
     for tid, g in enumerate(pos):
@@ -98,6 +104,7 @@ class SkipEngine:
     """
 
     def __init__(self, instance: Instance, constraints: ConstraintSet):
+        _check_groups(instance)
         self.instance = instance
         self.constraints = constraints
         self.checker = checker = get_checker(instance, constraints)
@@ -295,6 +302,7 @@ class VectorUniform:
     """
 
     def __init__(self, instance: Instance, constraints: ConstraintSet):
+        _check_groups(instance)
         self.instance = instance
         self.constraints = constraints
         n, m = instance.n, instance.m

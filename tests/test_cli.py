@@ -180,6 +180,15 @@ def test_pareto_input_errors(tmp_path):
     )
     single.write_text(dl.export_results([r], "table"))
     assert run_cli("pareto", str(single)) == 2
+    table = dl.export_results([r, r], "table")
+    for text in (
+        '{"schema": "drawlab.results/1", "results": [{"scenario": 0}]}',
+        '{"schema": "drawlab.results/1"}',
+        table.replace(table.splitlines()[-1], "0,uniform,1"),
+        "# drawlab.results/1\n",
+    ):
+        bad.write_text(text)
+        assert run_cli("pareto", str(bad)) == 2
 
 
 def test_oracle_toy_two_by_two(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -269,17 +270,18 @@ def test_pareto_properties(coords, rnd):
 
 
 def test_export_round_trip_table(ihf):
-    results = dl.sweep(ihf, [0, 1], ["uniform"], 300, seed=3)
+    results = dl.sweep(ihf, [0, 1], ["uniform", "skip"], 300, seed=3)
+    results[0].scenario = np.int64(results[0].scenario)  # prints as 0, not 0.0
     doc = dl.export_results(results, "table")
     parsed = dl.parse_results(doc)
-    assert len(parsed) == 2
+    assert dl.export_results(parsed, "table") == doc
+    assert [r.feasible_proportion is None for r in parsed] == [True, False, True, False]
     for orig, back in zip(results, parsed):
-        assert back.scenario == orig.scenario
-        assert back.mechanism == orig.mechanism
-        assert back.trials == orig.trials
-        assert back.mean_unattractive == orig.mean_unattractive
-        assert back.inequality == orig.inequality
-        assert back.feasible_proportion == orig.feasible_proportion
+        for name in ("scenario", "mechanism", "trials", "seed", "mean_unattractive",
+                     "stderr_unattractive", "inequality", "stderr_i", "feasible_proportion",
+                     "elapsed_ms"):
+            assert getattr(back, name) == getattr(orig, name)
+        assert (back.m, back.n, back.matrix_counts) == (0, 0, None)
 
 
 def test_table_readback_marks_values_it_lacks(ihf):
@@ -308,10 +310,17 @@ def test_export_round_trip_structured(ihf):
     results = dl.sweep(ihf, [0], ["skip", "uniform"], 300, seed=3)
     doc = dl.export_results(results, "structured")
     parsed = dl.parse_results(doc)
+    assert strip_metadata(dl.export_results(parsed, "structured")) == strip_metadata(doc)
     for orig, back in zip(results, parsed):
         assert back.histogram == orig.histogram
         assert back.i_hat == orig.i_hat
         assert (back.matrix_counts == orig.matrix_counts).all()
+        assert (back.m, back.n) == (orig.m, orig.n) == (4, 8)
+    # a row without m and n reads them as 0
+    row = json.loads(doc)["results"][0]
+    del row["m"], row["n"]
+    old = dl.parse_results(json.dumps({"schema": "drawlab.results/1", "results": [row]}))[0]
+    assert (old.m, old.n) == (0, 0)
 
 
 def test_export_table_has_expected_rows(ihf):
@@ -336,6 +345,21 @@ def test_parse_rejects_bad_documents():
         dl.parse_results('{"schema": "other/9", "results": []}')
     with pytest.raises(dl.ResultFormatError):
         dl.parse_results("{not json")
+    head = "# drawlab.results/1\n" + ",".join(experiment.CSV_COLUMNS) + "\n"
+    row = "0,uniform,10,0,14.5,0.1,0.02,0.001,1.0,2.5"
+    for bad in (
+        '{"schema": "drawlab.results/1", "results": [{"scenario": 0}]}',  # missing keys
+        '{"schema": "drawlab.results/1"}',  # no results
+        '{"schema": "drawlab.results/1", "results": [7]}',  # a row that is not an object
+        "# drawlab.results/1\n",  # no column header
+        head + "0,uniform,10\n",  # too few cells
+        head + row + ",9\n",  # too many cells
+        head + row.replace("14.5", "x") + "\n",  # a float cell that is not one
+        head + row.replace("14.5", "") + "\n",  # an empty cell the record needs
+    ):
+        with pytest.raises(dl.ResultFormatError):
+            dl.parse_results(bad)
+    assert len(dl.parse_results(head + row + "\n")) == 1
 
 
 def test_strip_metadata_removes_only_elapsed(ihf):

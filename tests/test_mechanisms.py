@@ -320,6 +320,18 @@ def test_vector_uniform_refuses_more_groups_than_a_mask_word_holds():
     VectorUniform(inst, dl.scenario_constraints(0))  # no bound confederation, no mask
 
 
+def test_samplers_refuse_more_groups_than_int8_ids_hold():
+    pots = [[(f"t{k}_{g}", "Europe") for g in range(130)] for k in range(2)]
+    inst = dl.build_instance(pots)
+    c0 = dl.scenario_constraints(0)
+    for mech in ("uniform", "skip"):
+        with pytest.raises(ValueError, match="at most 128 groups"):
+            dl.draw_trial(inst, c0, mech, 0, 0)
+    orders = [[t.id for t in inst.pot_teams(k)] for k in (1, 2)]
+    with pytest.raises(ValueError, match="at most 128 groups"):
+        dl.skip_draw_with_orders(inst, c0, orders)
+
+
 # ---------------------------------------------------------------------------
 # skip mechanism
 # ---------------------------------------------------------------------------
