@@ -316,11 +316,12 @@ _FIELDS = (
 )
 _COLUMNS = [f for f in _FIELDS if f[2] is not None]
 CSV_COLUMNS = tuple(key for _, key, _ in _COLUMNS)
-_STRUCTURED_ONLY = [a for a, _, parse in _FIELDS if parse is None]
 _DEFAULTED = {f.name for f in fields(ScenarioResult) if f.default is not MISSING}
 _NEEDED = {k for a, k, _ in _FIELDS if a not in _DEFAULTED}  # keys of every structured row
-_TABLE_LACKS = {a: None for a in _STRUCTURED_ONLY if a not in _DEFAULTED}  # read back as None
-_OPTIONAL = {a for a, t in get_type_hints(ScenarioResult).items() if type(None) in get_args(t)}
+# the structured-only fields without a default read back from a table as None
+_TABLE_LACKS = {a: None for a, _, parse in _FIELDS if parse is None and a not in _DEFAULTED}
+_KINDS = {a: get_args(t) or (t,) for a, t in get_type_hints(ScenarioResult).items()}
+_OPTIONAL = {a for a, kinds in _KINDS.items() if type(None) in kinds}
 
 
 def _cell(value, parse) -> str:
@@ -387,14 +388,32 @@ def parse_results(text: str):
 def _structured_row(row) -> ScenarioResult:
     if not (isinstance(row, dict) and row.keys() >= _NEEDED):
         raise ResultFormatError(f"each structured result is an object with keys {sorted(_NEEDED)}")
-    values = {a: row[k] for a, k, _ in _FIELDS if k in row}
-    for a in _STRUCTURED_ONLY:  # a table column holds a scalar, so only these hold containers
-        v = values.get(a)
-        if isinstance(v, dict):  # a histogram: JSON keys are strings
-            values[a] = {int(c): n for c, n in v.items()}
+    return ScenarioResult(**{a: _json_value(a, k, row[k]) for a, k, _ in _FIELDS if k in row})
+
+
+def _json_value(a, k, v):
+    """A structured value as its field's annotation types it, or ResultFormatError.
+
+    A number is never a bool, and a float field takes an int too.  A
+    histogram has int counts and int keys, which JSON writes as strings; a
+    list of ints reads back as an int array, and an empty one as None.
+    """
+    kinds = _KINDS[a]
+    try:
+        if isinstance(v, dict):
+            value = {int(c): n for c, n in v.items()}
+            ok = dict in kinds and all(type(n) is int for n in value.values())
         elif isinstance(v, list):
-            values[a] = np.array(v, dtype=np.int64) if v else None
-    return ScenarioResult(**values)
+            value = np.array(v) if v else None
+            ok = np.ndarray in kinds and (value is None or value.dtype.kind == "i")
+        else:
+            value = v
+            ok = type(v) in kinds or float in kinds and type(v) is int
+    except ValueError:  # a key that is not an int, or a ragged list
+        ok = False
+    if not ok:
+        raise ResultFormatError(f"bad {k} value in a structured result: {v!r}")
+    return value
 
 
 def _table_row(cells) -> ScenarioResult:

@@ -17,7 +17,8 @@ meets each band's lo shares one closed signature, since it can take no team
 and break no band any more.  That keeps the graph small.  Each level is
 pruned with per-pot tables of per-signature band columns, one gather for
 all bands.  The same builder, rooted at the empty state, gives the Skip
-engine its whole transition table.
+engine every level's states and attempts, from which it builds its dense
+transition tables.
 """
 
 from __future__ import annotations
@@ -179,7 +180,6 @@ class CompletabilityChecker:
 
         self.empty_group_sig = ((1 << self.m) - 1) << self.open_shift
         self.closed_sig = sum(lo << shift for shift, _, lo, _ in self.fields)
-        self.sig_bits = self.empty_group_sig.bit_length()  # every signature is below 1 << sig_bits
         self._memo = {}  # root state -> completable
 
     def place_sig(self, sig: int, type_code: int, pot_idx: int):
@@ -223,35 +223,6 @@ class CompletabilityChecker:
         if key not in self._memo:
             self._memo[key] = bool(self._build(sigs, remaining)[2][0].any())
         return self._memo[key]
-
-    def graph(self):
-        """The attempt-code table of the completable states below the empty state.
-
-        The completable states are numbered level by level, the root first.
-        Placing a team of type tc into a group of signature s of state i is
-        the attempt code ((i << sig_bits) | s) * ntypes + tc; its outcome is
-        (child << sig_bits) | the group's new signature, or -1 when a band's
-        hi breaks or the child is not completable.  The table lists every
-        attempt of every completable state: each distinct open signature
-        with each type its pot still holds.
-
-        Returns (completable, codes, outcomes), codes ascending; memoises the root's answer.
-        """
-        root = (self.empty_group_sig,) * self.n, tuple(self.full_pot_counts)
-        vals, levels, comp = self._build(*root)
-        nt, bits = self.ntypes, self.sig_bits
-        # each state's id, or -1 if it is not completable; child -1 reads the trailing -1
-        starts = np.cumsum([0] + [c.sum() for c in comp])
-        ids = [np.append(np.where(c, a + np.cumsum(c) - 1, -1), -1) for a, c in zip(starts, comp)]
-        codes, outcomes = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-        for L, (s, sid, tc, new, child) in enumerate(levels):
-            keep = comp[L][s]
-            # ascending: states in id order, signatures and types ascending within one
-            codes.append((ids[L][s[keep]] << bits | vals[sid[keep]]) * nt + tc[keep])
-            child = ids[L + 1][child[keep]]
-            outcomes.append(np.where(child >= 0, child << bits | vals[new[keep]], -1))
-        ok = self._memo[root] = bool(comp[0].any())
-        return ok, np.concatenate(codes), np.concatenate(outcomes)
 
     # -- the builder ------------------------------------------------------
 

@@ -18,10 +18,11 @@ then places the host teams, then builds the other pots, the most
 constrained pots first within each part; it drops a rejected proposal as
 soon as a bound breaks, and generates stream words only for the steps of
 the proposals still alive.  Skip is the batch kernel of
-``SkipEngine``: every trial carries the id of its canonical state, and
-every placement attempt is looked up in the engine's transition table,
-built whole when the engine is made by the same completability builder
-that ``feasibility.completable`` uses.
+``SkipEngine``: every trial carries the id of its canonical state and a
+signature id per group, and a step looks up every group's attempt in one
+gather from the level's dense transition table.  The engine builds every
+level's table when it is made, from the graph of the same completability
+builder that ``feasibility.completable`` uses.
 The brute-force ``oracle`` module restates both mechanisms independently,
 and the tests compare against it.
 """
@@ -87,20 +88,20 @@ def _pos_to_assignment(instance: Instance, pos) -> Assignment:
 class SkipEngine:
     """Skip placement with exact completability look-ahead, batched across trials.
 
-    All trials of a batch step through the m*n placements together, each
-    carrying the id of its canonical state: the sorted group signatures
-    plus the remaining type counts, with id 0 for the empty assignment.
-    A group filled with every band's lo met takes the checker's one closed
-    signature, so states that differ only in their full groups share an id.
-    Placing a team of type tc into a group of signature s has an outcome
-    that depends on (state, s, tc) alone: the group's new signature and the
-    child state's id, or a failure when a band's hi breaks or the child is
-    not completable.  So every pending trial's attempt is one int64 code,
-    looked up for the whole step with ``np.searchsorted`` in a sorted
-    transition table.  The engine builds that table once, whole, with the
-    checker's ``graph`` from the empty state: it lists every attempt of
-    every completable state, so a step is a few array operations from the
-    first trial on.
+    All trials of a batch step through the m*n placements together, so at
+    every step they are on the same level: the number of teams placed.  Each
+    trial carries the local id of its canonical state within the level (the
+    sorted group signatures plus the remaining type counts) and the
+    signature id of each of its groups, by label.  A group filled with every
+    band's lo met takes the checker's one closed signature, so states that
+    differ only in their full groups share an id.  Placing a team of type tc
+    into a group of signature s has an outcome that depends on (state, s,
+    tc) alone: the child's local id and the group's new signature id, or a
+    failure when a band's hi breaks or the child is not completable.  The
+    engine builds every level's dense table of these outcomes when it is
+    made, from the completability builder's graph below the empty state, so
+    a step is one gather over all groups of all trials, which then take
+    their first group whose attempt succeeds.
     """
 
     def __init__(self, instance: Instance, constraints: ConstraintSet):
@@ -115,11 +116,53 @@ class SkipEngine:
             [[t.id for t in instance.pot_teams(k)] for k in range(1, m + 1)],
             dtype=np.min_scalar_type(m * n - 1),
         )
-        self.team_type = np.array(checker.team_type, dtype=np.int64)
-        # attempt codes and outcomes as ``CompletabilityChecker.graph`` encodes them
-        self._sig_bits = checker.sig_bits
-        self._span = checker.ntypes << self._sig_bits  # codes per state
-        self.feasible, self._codes, self._outcomes = checker.graph()
+        self.team_type = np.array(checker.team_type, dtype=np.int32)
+        root = (checker.empty_group_sig,) * n, tuple(checker.full_pot_counts)
+        vals, levels, comp = checker._build(*root)
+        self.feasible = checker._memo[root] = bool(comp[0].any())
+        self.root_sig = int(np.searchsorted(vals, checker.empty_group_sig))
+        self._tables(vals.size, levels, comp)
+
+    def _tables(self, nvals: int, levels: list, comp: list) -> None:
+        """Level L's outcome table ``_tabs[L]`` and its column map ``_cols[L]``.
+
+        The table is indexed by (a completable state's local id, column,
+        type); an entry is (the child's local id << ``_bits``) | the new
+        signature id, or -1.  The map holds each signature id's column times
+        the types: a column per signature with a success in the level, and a
+        last one, of failures only, for all others.  The tables are views of
+        one array, filled by one scatter.
+        """
+        nt = self.checker.ntypes
+        self._bits = bits = max(nvals - 1, 1).bit_length()
+        lev = np.repeat(np.arange(len(levels)), [lv[0].size for lv in levels])
+        s, sid, tc, new, child = (np.concatenate(a) for a in zip(*levels))
+        # number the states of all levels in one row; ahead[r]: completable rows before row r
+        first = np.cumsum([0] + [c.size for c in comp])
+        flags = np.concatenate(comp)
+        ahead = np.concatenate([[0], np.cumsum(flags)])
+        row, kid = first[lev] + s, first[lev + 1] + child
+        # an attempt succeeds when its child survived the prune and is completable
+        j = np.flatnonzero((child >= 0) & flags[kid])
+        lev, sid, tc, new = lev[j], sid[j], tc[j], new[j]
+        base = ahead[first]  # completable rows before each level
+        state = ahead[row[j]] - base[lev]
+        child = ahead[kid[j]] - base[lev + 1]
+        used = np.zeros((len(levels), nvals), dtype=bool)
+        used[lev, sid] = True
+        width = used.sum(axis=1) + 1
+        col = np.where(used, used.cumsum(axis=1) - 1, width[:, None] - 1)
+        rows = np.diff(base)
+        dtype = np.int32 if int(rows.max()) << bits < 2**31 else np.int64
+        sizes = rows[:-1] * width * nt
+        starts = np.cumsum(sizes) - sizes
+        flat = np.full(sizes.sum(), -1, dtype=dtype)
+        flat[starts[lev] + (state * width[lev] + col[lev, sid]) * nt + tc] = child << bits | new
+        self._tabs = [
+            flat[a : a + size].reshape(-1, w, nt) for a, size, w in zip(starts, sizes, width)
+        ]
+        self._cols = (col * nt).astype(np.int32)
+        self._stride = (width * nt).tolist()
 
     def draw_orders(self, keys, offset: int = 0) -> np.ndarray:
         """Per-pot draw orders of a batch of streams: (T, m, n) team ids.
@@ -153,49 +196,28 @@ class SkipEngine:
             raise InfeasibleScenarioError(
                 f"no valid assignment exists for scenario {self.constraints.scenario}"
             )
-        orders = np.asarray(orders)
-        T = orders.shape[0]
-        n, nt, bits = self.n, self.checker.ntypes, self._sig_bits
-        low = (1 << bits) - 1
-        rows = np.arange(T)
-        groups = np.arange(n)
-        sigs = np.full((T, n), self.checker.empty_group_sig, dtype=np.int64)
-        state = np.zeros(T, dtype=np.int64)
-        pos = np.full((T, self.m * n), -1, dtype=np.int8)
-        for k in range(self.m):
-            filled = np.zeros((T, n), dtype=bool)
-            for j in range(n):
-                tid = orders[:, k, j]
-                live = rows
-                g = filled.argmin(axis=1)  # first open group
-                base = state * self._span + self.team_type[tid]
-                while True:
-                    out = self._outcomes_of(base + sigs[live, g] * nt)
-                    ok = out >= 0
-                    every = ok.all()  # the common case: no trial tries a later group
-                    done, gd = (live, g) if every else (live[ok], g[ok])
-                    out = out if every else out[ok]
-                    sigs[done, gd] = out & low
-                    state[done] = out >> bits
-                    filled[done, gd] = True
-                    pos[done, tid[done]] = gd
-                    if every:
-                        break
-                    live, g, base = live[~ok], g[~ok], base[~ok]
-                    later = ~filled[live] & (groups > g[:, None])
-                    g = later.argmax(axis=1)
-                    if not later[np.arange(live.size), g].all():
-                        raise InfeasibleScenarioError(
-                            "skip draw dead end; completability look-ahead violated"
-                        )
+        T, n = len(orders), self.n
+        orders = np.asarray(orders).reshape(T, self.m * n)  # column L: the team placed at level L
+        types = self.team_type.take(orders)
+        first = np.arange(0, T * n, n)  # each trial's first entry in the flat (T, n) arrays
+        sid = np.full((T, n), self.root_sig, dtype=np.intp)
+        state = np.zeros(T, dtype=np.int32)
+        groups = np.empty_like(orders, dtype=np.int8)  # column L: the group taken at level L
+        for L, (tab, cols, stride) in enumerate(zip(self._tabs, self._cols, self._stride)):
+            idx = cols.take(sid)
+            idx += (state * stride + types[:, L])[:, None]
+            out = tab.take(idx)
+            g = (out >= 0).argmax(axis=1)  # each trial's first group that keeps it completable
+            at = first + g
+            got = out.take(at)
+            if (got < 0).any():  # np.take would wrap a -1 silently
+                raise InfeasibleScenarioError("skip draw dead end; look-ahead violated")
+            state = got >> self._bits
+            sid.put(at, got & (1 << self._bits) - 1)
+            groups[:, L] = g
+        pos = np.empty_like(groups)
+        np.put_along_axis(pos, orders, groups, axis=1)
         return pos
-
-    def _outcomes_of(self, codes: np.ndarray) -> np.ndarray:
-        """The table's outcome of every attempt code, probed in ascending order."""
-        order = np.argsort(codes)
-        out = np.empty_like(codes)
-        out[order] = self._outcomes[np.searchsorted(self._codes, codes[order])]
-        return out
 
     def run_trials(self, seed: int, t_lo: int, t_hi: int) -> np.ndarray:
         """Skip assignments (T, m*n) of trials [t_lo, t_hi) of one cell."""

@@ -181,11 +181,14 @@ def test_pareto_input_errors(tmp_path):
     single.write_text(dl.export_results([r], "table"))
     assert run_cli("pareto", str(single)) == 2
     table = dl.export_results([r, r], "table")
+    structured = dl.export_results([r, r], "structured")
     for text in (
         '{"schema": "drawlab.results/1", "results": [{"scenario": 0}]}',
         '{"schema": "drawlab.results/1"}',
         table.replace(table.splitlines()[-1], "0,uniform,1"),
         "# drawlab.results/1\n",
+        structured.replace('"mean_unattractive": 1.0', '"mean_unattractive": "x"', 1),
+        structured.replace('"histogram": {}', '"histogram": {"x": 1}', 1),
     ):
         bad.write_text(text)
         assert run_cli("pareto", str(bad)) == 2

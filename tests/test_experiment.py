@@ -360,6 +360,33 @@ def test_parse_rejects_bad_documents():
         with pytest.raises(dl.ResultFormatError):
             dl.parse_results(bad)
     assert len(dl.parse_results(head + row + "\n")) == 1
+    # structured values of the wrong type, each in an otherwise valid row
+    good = {
+        "scenario": 0, "mechanism": "skip", "trials": 10, "seed": 0,
+        "mean_unattractive": 14, "stderr_unattractive": 0.1, "I_hat": None, "I": 0.02,
+        "stderr_I": 0.001, "feasible_proportion": None, "histogram": {"14": 10},
+        "elapsed_ms": 2.5, "matrix_counts": [[1, 2], [3, 4]],
+    }
+    assert dl.parse_results(_structured(good))[0].histogram == {14: 10}
+    for key, value in (
+        ("mean_unattractive", "x"),  # a string for a number
+        ("I", True),  # a bool for a number
+        ("trials", 1.5),  # a float for an int
+        ("scenario", None),  # None where the record does not allow it
+        ("mechanism", 3),
+        ("m", "4"),
+        ("histogram", {"a": 1}),  # a key that is not an integer
+        ("histogram", {"14": 1.5}),  # a count that is not an integer
+        ("histogram", [10]),
+        ("matrix_counts", [[1, "2"]]),
+        ("matrix_counts", [[1], [2, 3]]),  # ragged
+    ):
+        with pytest.raises(dl.ResultFormatError, match=key):
+            dl.parse_results(_structured({**good, key: value}))
+
+
+def _structured(row) -> str:
+    return json.dumps({"schema": "drawlab.results/1", "results": [row]})
 
 
 def test_strip_metadata_removes_only_elapsed(ihf):

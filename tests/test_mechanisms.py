@@ -11,6 +11,7 @@ from drawlab import feasibility, mechanisms
 from drawlab.experiment import _merge_shards, _run_shard
 from drawlab.mechanisms import (
     DEFAULT_PROPOSAL_CAP,
+    SkipEngine,
     VectorUniform,
     _pos_to_assignment,
     cell_key,
@@ -512,9 +513,10 @@ def test_skip_transition_table_is_built_whole_and_deterministic(ihf):
     for i, c in cases:
         a, b = fresh_engine(i, c), fresh_engine(i, c)
         assert a is not b
-        assert a._codes.tobytes() == b._codes.tobytes()
-        assert a._outcomes.tobytes() == b._outcomes.tobytes()
-        assert (np.diff(a._codes) > 0).all()
+        assert [t.tobytes() for t in a._tabs] == [t.tobytes() for t in b._tabs]
+        assert a._cols.tobytes() == b._cols.tobytes()
+        # every level's last column is the failures of the signatures without a success
+        assert all((t[:, -1] == -1).all() for t in a._tabs)
     cold = [fresh_engine(i, c).run_trials(3, 1000, 1400).tobytes() for i, c in cases]
     for i, c in cases:
         engine = get_skip_engine(i, c)
@@ -527,7 +529,7 @@ def test_skip_transition_table_is_built_whole_and_deterministic(ihf):
 
 
 @pytest.mark.parametrize(
-    "scenario, states, codes, succeed",
+    "scenario, states, attempts, succeed",
     [
         (0, 57, 104, 80),
         (1, 156, 414, 320),
@@ -536,23 +538,59 @@ def test_skip_transition_table_is_built_whole_and_deterministic(ihf):
         (31, 3772, 39483, 24469),
     ],
 )
-def test_skip_transition_graph_sizes(ihf, scenario, states, codes, succeed):
-    # completable canonical states and attempt codes below the empty state.
+def test_skip_transition_graph_sizes(ihf, scenario, states, attempts, succeed):
+    # completable canonical states and their attempts below the empty state.
     # Full groups that meet every band's lo share one closed signature, so
     # these are not breadth-first counts over the groups' own signatures,
     # which gave s17 536 / 2477 / 1700, s30 30871 / 226417 / 162184 and s31
     # 12222 / 101475 / 62009 (s0 and s1 have no full groups that differ)
     engine = get_skip_engine(ihf, dl.scenario_constraints(scenario))
-    assert engine._codes.size == codes
-    assert np.count_nonzero(engine._outcomes >= 0) == succeed
-    # states are numbered densely, and every one but the root is some attempt's child
-    assert (engine._outcomes.max() >> engine._sig_bits) + 1 == states
-    # the states that pass the band prune, completable or not: a looser prune
-    # keeps more of them, though it leaves the table as it is
-    built = {0: 57, 1: 156, 17: 411, 30: 5410, 31: 3819}[scenario]
     checker = engine.checker
     root = checker.state_of(dl.Assignment.empty(ihf))
-    assert sum(c.size for c in checker._build(*root)[2]) == built
+    _, levels, comp = checker._build(*root)
+    # an attempt: a distinct open signature of a completable state, with a type its pot holds
+    assert sum(np.count_nonzero(c[lv[0]]) for c, lv in zip(comp, levels)) == attempts
+    tabs = engine._tabs
+    assert sum(np.count_nonzero(t >= 0) for t in tabs) == succeed
+    # one table row per completable state below the leaves, and every
+    # state but the root is some success's child, numbered densely by level
+    leaves = (tabs[-1].max() >> engine._bits) + 1
+    assert sum(t.shape[0] for t in tabs) + leaves == states == sum(c.sum() for c in comp)
+    for t, below in zip(tabs, tabs[1:]):
+        assert np.unique(t[t >= 0] >> engine._bits).tolist() == list(range(below.shape[0]))
+    # the states that pass the band prune, completable or not: a looser prune
+    # keeps more of them, though it leaves the tables as they are
+    built = {0: 57, 1: 156, 17: 411, 30: 5410, 31: 3819}[scenario]
+    assert sum(c.size for c in comp) == built
+
+
+def _table_bytes(engine):
+    return sum(t.nbytes for t in engine._tabs) + engine._cols.nbytes
+
+
+def test_skip_tables_memory(ihf):
+    # bytes an engine keeps for its tables; the sorted code table they
+    # replaced kept 16 B per attempt, 631 728 B at s31 and 6 345 312 B over
+    # all 32 scenarios, and the dense tables may take at most 1.25 times that
+    engines = [SkipEngine(ihf, dl.scenario_constraints(s)) for s in range(32)]
+    assert _table_bytes(engines[31]) == 774_056
+    assert sum(_table_bytes(e) for e in engines) == 7_810_724
+
+
+def test_skip_dead_end_raises(ihf):
+    # np.take wraps a -1 index, so only the kernel's check turns a step with
+    # no successful group into an error rather than a wrong group
+    engine = SkipEngine(ihf, dl.scenario_constraints(31))
+    keys = trial_keys(cell_key(3, "skip", 31), np.arange(4, dtype=np.uint64))
+    orders = engine.draw_orders(keys)
+    engine.place_orders(orders)
+    # at the root every group has the empty signature, so the first team's
+    # type has one success there, which every trial relies on
+    entries = engine._tabs[0][0, :, engine.team_type[orders[0, 0, 0]]]
+    assert np.count_nonzero(entries >= 0) == 1
+    entries[entries >= 0] = -1
+    with pytest.raises(dl.InfeasibleScenarioError, match="dead end"):
+        engine.place_orders(orders)
 
 
 # ---------------------------------------------------------------------------
