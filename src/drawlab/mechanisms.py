@@ -120,7 +120,7 @@ class SkipEngine:
         root = (checker.empty_group_sig,) * n, tuple(checker.full_pot_counts)
         vals, levels, comp = checker._build(*root)
         self.feasible = checker._memo[root] = bool(comp[0].any())
-        self.root_sig = int(np.searchsorted(vals, checker.empty_group_sig))
+        self._root_sig = int(np.searchsorted(vals, checker.empty_group_sig))
         self._tables(vals.size, levels, comp)
 
     def _tables(self, nvals: int, levels: list, comp: list) -> None:
@@ -135,33 +135,34 @@ class SkipEngine:
         """
         nt = self.checker.ntypes
         self._bits = bits = max(nvals - 1, 1).bit_length()
-        lev = np.repeat(np.arange(len(levels)), [lv[0].size for lv in levels])
+        # int32 ids and offsets keep the build's temporaries small
+        lev = np.repeat(np.arange(len(levels), dtype=np.int32), [lv[0].size for lv in levels])
         s, sid, tc, new, child = (np.concatenate(a) for a in zip(*levels))
         # number the states of all levels in one row; ahead[r]: completable rows before row r
-        first = np.cumsum([0] + [c.size for c in comp])
+        first = np.cumsum([0] + [c.size for c in comp], dtype=np.int32)
         flags = np.concatenate(comp)
-        ahead = np.concatenate([[0], np.cumsum(flags)])
-        row, kid = first[lev] + s, first[lev + 1] + child
+        ahead = np.concatenate([np.zeros(1, np.int32), np.cumsum(flags, dtype=np.int32)])
+        kid = first[lev + 1] + child
         # an attempt succeeds when its child survived the prune and is completable
         j = np.flatnonzero((child >= 0) & flags[kid])
         lev, sid, tc, new = lev[j], sid[j], tc[j], new[j]
         base = ahead[first]  # completable rows before each level
-        state = ahead[row[j]] - base[lev]
+        state = ahead[first[lev] + s[j]] - base[lev]
         child = ahead[kid[j]] - base[lev + 1]
         used = np.zeros((len(levels), nvals), dtype=bool)
         used[lev, sid] = True
-        width = used.sum(axis=1) + 1
-        col = np.where(used, used.cumsum(axis=1) - 1, width[:, None] - 1)
+        width = used.sum(axis=1, dtype=np.int32) + 1
+        col = np.where(used, used.cumsum(axis=1, dtype=np.int32) - 1, width[:, None] - 1)
         rows = np.diff(base)
         dtype = np.int32 if int(rows.max()) << bits < 2**31 else np.int64
-        sizes = rows[:-1] * width * nt
+        sizes = rows[:-1].astype(np.int64) * width * nt
         starts = np.cumsum(sizes) - sizes
         flat = np.full(sizes.sum(), -1, dtype=dtype)
         flat[starts[lev] + (state * width[lev] + col[lev, sid]) * nt + tc] = child << bits | new
         self._tabs = [
             flat[a : a + size].reshape(-1, w, nt) for a, size, w in zip(starts, sizes, width)
         ]
-        self._cols = (col * nt).astype(np.int32)
+        self._cols = col * nt
         self._stride = (width * nt).tolist()
 
     def draw_orders(self, keys, offset: int = 0) -> np.ndarray:
@@ -200,7 +201,7 @@ class SkipEngine:
         orders = np.asarray(orders).reshape(T, self.m * n)  # column L: the team placed at level L
         types = self.team_type.take(orders)
         first = np.arange(0, T * n, n)  # each trial's first entry in the flat (T, n) arrays
-        sid = np.full((T, n), self.root_sig, dtype=np.intp)
+        sid = np.full((T, n), self._root_sig, dtype=np.intp)
         state = np.zeros(T, dtype=np.int32)
         groups = np.empty_like(orders, dtype=np.int8)  # column L: the group taken at level L
         for L, (tab, cols, stride) in enumerate(zip(self._tabs, self._cols, self._stride)):
