@@ -584,8 +584,8 @@ def test_skip_dead_end_raises(ihf):
     keys = trial_keys(cell_key(3, "skip", 31), np.arange(4, dtype=np.uint64))
     orders = engine.draw_orders(keys)
     engine.place_orders(orders)
-    # at the root every group has the empty signature, so the first team's
-    # type has one success there, which every trial relies on
+    # at the root every group has the empty signature, so the type of trial
+    # 0's first team has one success there, and trial 0 relies on it
     entries = engine._tabs[0][0, :, engine.team_type[orders[0, 0, 0]]]
     assert np.count_nonzero(entries >= 0) == 1
     entries[entries >= 0] = -1
