@@ -17,7 +17,10 @@ before the pots they share.  It builds the pots without host teams first,
 then places the host teams, then builds the other pots, the most
 constrained pots first within each part; it drops a rejected proposal as
 soon as a bound breaks, and generates stream words only for the steps of
-the proposals still alive.  Skip is the batch kernel of
+the proposals still alive.  Proposal p of a stream is the stream moved on
+by p*m*n words, so a round may hold several consecutive proposals of one
+trial, and the earliest accepted one wins.  Both mechanisms draw without
+replacement by the same flat pick-and-swap.  Skip is the batch kernel of
 ``SkipEngine``: every trial carries the id of its canonical state and a
 signature id per group, and a step looks up every group's attempt in one
 gather from the level's dense transition table.  The engine builds every
@@ -37,7 +40,7 @@ import numpy as np
 from .errors import InfeasibleScenarioError, ProposalBudgetError
 from .feasibility import constraint_bands, get_checker
 from .model import Assignment, ConstraintSet, Instance
-from .rng import RngStream, derive_key, trial_keys, words_np
+from .rng import RngStream, advance_keys, derive_key, trial_keys, words_np
 
 MECHANISMS = ("uniform", "skip")
 _MECH_CODE = {"uniform": 1, "skip": 2}
@@ -45,7 +48,8 @@ _MECH_CODE = {"uniform": 1, "skip": 2}
 DEFAULT_PROPOSAL_CAP = 10**7
 # Uniform proposals per round: bounds a round's arrays (its word runs,
 # positions and masks), so a batch's peak memory does not depend on how
-# many of its trials are still pending
+# many of its trials are still pending; a pass gives each pending trial
+# more than one proposal only while all of them fit in one round
 _ROUND_BLOCK = 8192
 
 
@@ -78,6 +82,22 @@ def _pos_to_assignment(instance: Instance, pos) -> Assignment:
     for tid, g in enumerate(pos):
         asg.slots[instance.pot_of(tid) - 1][g] = tid
     return asg
+
+
+def _pick_and_swap(pool: np.ndarray, picks: np.ndarray, out: np.ndarray) -> None:
+    """Draw k entries without replacement from each row of ``pool`` (R, size).
+
+    Pick i of row r takes slot ``picks[i, r]`` of the row into ``out[i, r]``,
+    and the row's last remaining entry takes that slot, as in
+    ``RngStream.draw_order``.  ``pool`` (C-contiguous) and ``picks`` (k, R)
+    are used up.
+    """
+    R, size = pool.shape
+    picks += np.arange(0, R * size, size)  # each pick's slot in the flat pool
+    flat = pool.ravel()
+    for i, at in enumerate(picks):
+        out[i] = flat[at]
+        flat[at] = pool[:, size - 1 - i]
 
 
 # ---------------------------------------------------------------------------
@@ -177,14 +197,10 @@ class SkipEngine:
         m, n = self.m, self.n
         words = words_np(keys, np.uint64(offset) + np.arange(m * n, dtype=np.uint64))
         # pick i of a pot indexes its pool of the n - i teams not yet drawn
-        picks = (words.reshape(T * m, n) % np.arange(n, 0, -1, dtype=np.uint64)).astype(np.intp)
+        picks = (words.reshape(T * m, n) % np.arange(n, 0, -1, dtype=np.uint64)).view(np.intp)
         pool = np.tile(self.pot_ids, (T, 1))  # row t*m + k: pot k of trial t
-        rows = np.arange(T * m)
         orders = np.empty_like(pool)
-        for i in range(n):
-            j = picks[:, i]
-            orders[:, i] = pool[rows, j]
-            pool[rows, j] = pool[:, n - 1 - i]
+        _pick_and_swap(pool, picks.T, orders.T)
         return orders.reshape(T, m, n)
 
     def place_orders(self, orders) -> np.ndarray:
@@ -301,7 +317,8 @@ class VectorUniform:
     """Uniform rejection sampling, batched across trials.
 
     Word layout: every proposal reads exactly m*n stream words, proposal p
-    of a trial words p*m*n .. (p+1)*m*n - 1.  First comes one word per host
+    of a trial words p*m*n .. (p+1)*m*n - 1: words 0 .. m*n - 1 of the
+    trial's stream moved on by p*m*n words.  First comes one word per host
     team, in id order, each picking a group not yet taken by another host
     team; then one word per other team, pot by pot in id order, each
     picking from the groups its pot's host teams left open, listed in
@@ -322,6 +339,12 @@ class VectorUniform:
     that can reject, and a run's stream words are generated in one block,
     only for the proposals alive when it starts.  Every other band (E) is
     checked once, after the last step.
+
+    A round takes one proposal from each of its streams, so a pass can give
+    every pending trial its next r proposals at once, as r streams moved on
+    by p, p+1, .. p+r-1 proposals; each trial keeps the earliest one that is
+    accepted.  r at most doubles from pass to pass, and exceeds 1 only while
+    the whole pass fits in one round of at most ``_ROUND_BLOCK`` proposals.
     """
 
     def __init__(self, instance: Instance, constraints: ConstraintSet):
@@ -331,12 +354,16 @@ class VectorUniform:
         n, m = instance.n, instance.m
         self.n, self.m = n, m
         self.words = m * n
+        # a round holds each team's group in the row of its word
+        hosts = sorted(instance.host_exclusion)
+        order = hosts + [t.id for t in instance.teams if t.id not in instance.host_exclusion]
+        self.word_of = word_of = np.argsort(order)
         # proposals meet the host band by construction
         bands = [b for b in constraint_bands(instance, constraints) if b.letter != "HOST"]
         caps = [b.teams for b in bands if (b.lo, b.hi) == (0, 1)]
         # every other band is checked once, on the finished proposals
         self.counted = [
-            (np.array(sorted(b.teams), dtype=np.intp), b.lo, b.hi)
+            (word_of[sorted(b.teams)], b.lo, b.hi)
             for b in bands
             if (b.lo, b.hi) != (0, 1)
         ]
@@ -353,20 +380,19 @@ class VectorUniform:
             for w in sorted({field[t] // per_word for t in tids if t in field}):
                 ids = [t for t in tids if t in field and field[t] // per_word == w]
                 offs = np.array([[field[t] % per_word * n] for t in ids], dtype=np.int64)
-                masks.append((w, np.array(ids, dtype=np.intp), offs, {field[t] for t in ids}))
+                masks.append((w, word_of[ids], offs, {field[t] for t in ids}))
             return _Step(
                 pot=pot,
                 words=range(start, start + len(tids)),
                 tids=tids,
                 moduli=np.arange(pool_size, pool_size - len(tids), -1, dtype=np.uint64)[:, None],
-                hosts=np.array(hosts, dtype=np.intp) if hosts else None,
+                hosts=word_of[hosts] if hosts else None,
                 masks=masks,
             )
 
         # the pots without host teams, then the host teams, then the pots
         # with host teams, most bound teams first within each part; a pot
         # of host teams only has nothing left to build
-        hosts = sorted(instance.host_exclusion)
         start = len(hosts)
         pots = []
         for k in range(1, m + 1):
@@ -399,8 +425,8 @@ class VectorUniform:
                 self.runs.append((np.array(words, dtype=np.uint64)[:, None], run))
                 run, words = [], []
 
-    def _round(self, keys: np.ndarray, first: int):
-        """One proposal round for the streams ``keys``, from word ``first`` on.
+    def _round(self, keys: np.ndarray):
+        """One proposal from each of the streams ``keys``, read from word 0 on.
 
         Returns (cols, pos): the indices into ``keys`` whose proposal is
         valid, and their (m*n, L') team->group positions.
@@ -414,7 +440,7 @@ class VectorUniform:
             L = cols.size
             if not L:
                 break
-            words = words_np(keys if L == keys.size else keys[cols], np.uint64(first) + idx)
+            words = words_np(keys if L == keys.size else keys[cols], idx)
             rows = np.arange(L)
             for st, at, checks in run:
                 if st.hosts is None:
@@ -424,15 +450,8 @@ class VectorUniform:
                     taken = np.zeros((L, n), dtype=bool)
                     taken[rows, pos[st.hosts]] = True
                     pool = np.nonzero(~taken)[1].astype(np.int8).reshape(L, -1)
-                size = pool.shape[1]
-                # pick-and-swap: pick i takes flat pool slot picks[i], whose
-                # entry is replaced by the row's last remaining one
                 picks = (words[at] % st.moduli).view(np.intp)
-                picks += rows * size
-                flat = pool.ravel()
-                for i, tid in enumerate(st.tids):
-                    pos[tid] = flat[picks[i]]
-                    flat[picks[i]] = pool[:, size - 1 - i]
+                _pick_and_swap(pool, picks, pos[st.words.start : st.words.stop])
                 ok = None
                 for (w, ids, offs, _), check in zip(st.masks, checks):
                     bits = (1 << (pos[ids] + offs)).sum(axis=0)
@@ -451,7 +470,7 @@ class VectorUniform:
             counts = np.bincount(offsets.ravel(), minlength=L * n).reshape(L, n)
             ok = ((counts >= lo) & (counts <= hi)).all(axis=1)
             cols, pos = cols[ok], pos[:, ok]
-        return cols, pos
+        return cols, pos[self.word_of]
 
     def run_trials(self, seed: int, t_lo: int, t_hi: int, max_proposals: int = DEFAULT_PROPOSAL_CAP):
         """Accepted assignments for trials [t_lo, t_hi).
@@ -474,16 +493,27 @@ class VectorUniform:
                     f"(scenario {self.constraints.scenario}, {live.size} trials pending: "
                     f"{pending}{', ...' if live.size > 8 else ''})"
                 )
+            # proposals p .. p+r-1 of every pending trial, when they fit in one block
+            r = min(max(1, _ROUND_BLOCK // live.size), p + 1, max_proposals - p)
+            shift = np.arange(p * self.words, (p + r) * self.words, self.words, dtype=np.uint64)
             rejected = []
             for a in range(0, live.size, _ROUND_BLOCK):
                 part = live[a : a + _ROUND_BLOCK]
-                good, pos = self._round(keys[part], p * self.words)
+                # row j*L + i: proposal p+j of trial part[i], its stream moved on (p+j)*m*n words
+                good, pos = self._round(advance_keys(keys[part], shift[:, None]).ravel())
+                j = 0
+                if r > 1:  # each trial keeps its earliest accepted proposal
+                    _, first = np.unique(good % part.size, return_index=True)
+                    j, good = np.divmod(good[first], part.size)
+                    pos = pos[:, first]
                 done = part[good]
                 out_pos[done] = pos.T
-                proposals[done] = p + 1
-                rejected.append(np.delete(part, good))
+                proposals[done] = p + 1 + j
+                left = np.ones(part.size, dtype=bool)
+                left[good] = False
+                rejected.append(part[left])
             live = np.concatenate(rejected)
-            p += 1
+            p += r
         return out_pos, proposals
 
 
@@ -497,7 +527,7 @@ class _Step:
     """One placement step of a proposal round: the host teams, or one pot's other teams."""
 
     pot: int  # its pot, 1-based, or 0 for the host step
-    words: range  # the word of each of its teams within a proposal
+    words: range  # the word of each of its teams within a proposal, and its row in a round
     tids: list  # its teams, in word order
     moduli: np.ndarray  # (len(tids), 1): the pool size at each pick
     hosts: np.ndarray | None  # host teams of the pot, whose groups are closed to it

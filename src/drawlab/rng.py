@@ -80,6 +80,18 @@ def words_np(keys: np.ndarray, index: np.ndarray | int) -> np.ndarray:
         return _mix64_inplace(np.asarray(keys, dtype=np.uint64) + ctr)
 
 
+def advance_keys(keys: np.ndarray, offset: np.ndarray | int) -> np.ndarray:
+    """Keys of the streams ``keys`` moved on by ``offset`` words.
+
+    ``word(key + offset * GAMMA, i) = word(key, offset + i)`` mod 2**64, so
+    word i of an advanced stream is word ``offset + i`` of the original.
+    ``keys`` and ``offset`` broadcast against each other.
+    """
+    # ufuncs wrap uint64 silently, on 0-d arrays too
+    off = np.asarray(offset, dtype=np.uint64)
+    return np.asarray(keys, dtype=np.uint64) + np.uint64(_GAMMA) * off
+
+
 class RngStream:
     """Sequential view of one counter-based stream.
 

@@ -19,7 +19,7 @@ from drawlab.mechanisms import (
     trial_stream,
 )
 from drawlab.oracle import _Rules, _naive_skip_place, _naive_uniform_trial
-from drawlab.rng import RngStream, trial_keys
+from drawlab.rng import RngStream, advance_keys, trial_keys
 
 from conftest import random_feasible_case, random_instance
 
@@ -243,8 +243,13 @@ def test_vector_uniform_step_order_on_ihf(ihf):
     assert [[st.pot for st, _, _ in run] for _, run in vu.runs] == [[4, 3], [0, 1], [2]]
 
 
+# rounds: a pass gives every pending trial up to twice as many proposals as
+# it has had, while they all fit in one block
+_ROUNDS = {0: 1, 17: 7, 31: 13}
+
+
 @pytest.mark.parametrize(
-    "scenario, words, proposals", [(0, 128_000, 4_000), (17, 753_808, 31_214), (31, 1_372_204, 71_049)]
+    "scenario, words, proposals", [(0, 128_000, 4_000), (17, 1_008_068, 31_214), (31, 1_643_500, 71_049)]
 )
 def test_vector_uniform_generates_words_only_for_live_proposals(ihf, monkeypatch, scenario, words, proposals):
     made, rounds = [], []
@@ -259,7 +264,7 @@ def test_vector_uniform_generates_words_only_for_live_proposals(ihf, monkeypatch
     monkeypatch.setattr(VectorUniform, "_round", lambda *a: rounds.append(1) or real_round(*a))
     vu = VectorUniform(ihf, dl.scenario_constraints(scenario))
     _, props = vu.run_trials(3, 0, 4000)
-    assert (sum(made), int(props.sum())) == (words, proposals)
+    assert (sum(made), int(props.sum()), len(rounds)) == (words, proposals, _ROUNDS[scenario])
     if scenario == 0:  # no step can reject: all m*n words of a round in one call
         assert len(made) == len(rounds) == 1 and words == ihf.m * ihf.n * proposals
     else:
@@ -275,12 +280,19 @@ def _infeasible_toy():
 
 def test_vector_uniform_budget_error_after_exactly_the_cap(monkeypatch):
     inst, cs = _infeasible_toy()
-    blocks = []
-    real = mechanisms.words_np
-    monkeypatch.setattr(mechanisms, "words_np", lambda *a: blocks.append(1) or real(*a))
+    vu = VectorUniform(inst, cs)
+    streams = []
+    real = VectorUniform._round
+    monkeypatch.setattr(
+        VectorUniform, "_round", lambda self, keys: streams.extend(keys.tolist()) or real(self, keys)
+    )
     with pytest.raises(dl.ProposalBudgetError, match=r"64 proposals .*3 trials pending: 5, 6, 7\)"):
-        VectorUniform(inst, cs).run_trials(1, 5, 8, max_proposals=64)
-    assert len(blocks) == 64
+        vu.run_trials(1, 5, 8, max_proposals=64)
+    # proposal p of a trial is its stream moved on by p*m*n words: each of
+    # the pending trials' first 64 proposals reaches a round exactly once
+    keys = trial_keys(cell_key(1, "uniform", cs.scenario), np.arange(5, 8, dtype=np.uint64))
+    expect = advance_keys(keys, np.arange(64, dtype=np.uint64)[:, None] * np.uint64(vu.words))
+    assert sorted(streams) == sorted(expect.ravel().tolist())
 
 
 def test_vector_uniform_budget_error_names_only_the_pending_trials(ihf):
@@ -304,13 +316,36 @@ def test_vector_uniform_cap_at_the_largest_need_changes_nothing(ihf):
         vu.run_trials(3, 0, 300, max_proposals=cap - 1)
 
 
+def test_vector_uniform_cap_that_cuts_a_spread_pass_changes_nothing(ihf, monkeypatch):
+    vu = VectorUniform(ihf, dl.scenario_constraints(31))
+    _, props = vu.run_trials(3, 0, 60)
+    # a lone trial's passes hold 1, 2, 4, ... proposals: a need of q cuts the
+    # pass that starts at p when q - p < p + 1
+    t = next(t for t, q in enumerate(props.tolist()) if q > 2 and (q + 1) & q)
+    need = int(props[t])
+    pos, _ = vu.run_trials(3, t, t + 1)
+    sizes = []
+    real = VectorUniform._round
+    monkeypatch.setattr(
+        VectorUniform, "_round", lambda self, keys: sizes.append(keys.size) or real(self, keys)
+    )
+    capped_pos, capped_props = vu.run_trials(3, t, t + 1, max_proposals=need)
+    assert (capped_pos == pos).all() and capped_props.tolist() == [need]
+    *before, last = sizes
+    assert sum(before) + last == need and last < sum(before) + 1  # the cap cut the last pass
+    with pytest.raises(dl.ProposalBudgetError):
+        vu.run_trials(3, t, t + 1, max_proposals=need - 1)
+
+
 @pytest.mark.parametrize("block", [1, 7, 64])
 def test_vector_uniform_round_blocks_change_nothing(ihf, monkeypatch, block):
-    vu = VectorUniform(ihf, dl.scenario_constraints(17))
-    pos, props = vu.run_trials(5, 40, 340)
-    monkeypatch.setattr(mechanisms, "_ROUND_BLOCK", block)
-    blocked_pos, blocked_props = vu.run_trials(5, 40, 340)
-    assert (blocked_pos == pos).all() and (blocked_props == props).all()
+    for scenario in (17, 31):
+        vu = VectorUniform(ihf, dl.scenario_constraints(scenario))
+        pos, props = vu.run_trials(5, 40, 340)
+        with monkeypatch.context() as mp:
+            mp.setattr(mechanisms, "_ROUND_BLOCK", block)
+            blocked_pos, blocked_props = vu.run_trials(5, 40, 340)
+        assert (blocked_pos == pos).all() and (blocked_props == props).all(), scenario
 
 
 def test_vector_uniform_refuses_more_groups_than_a_mask_word_holds():

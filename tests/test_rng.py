@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from drawlab.rng import (
     RngStream,
+    advance_keys,
     derive_key,
     derive_sub,
     mix64,
@@ -51,6 +52,26 @@ def test_trial_keys_match_derive_key():
     keys = trial_keys(cell, np.arange(50, dtype=np.uint64))
     for t in range(50):
         assert int(keys[t]) == derive_key(99, 1, 31, t) == derive_sub(cell, t)
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=8),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_advanced_key_reads_the_stream_from_its_offset(keys, offset):
+    # word(key, offset + i) == word(key + offset * GAMMA, i) mod 2**64, for
+    # keys and offsets whose sums wrap around
+    keys = np.array(keys + [2**64 - 1], dtype=np.uint64)
+    i = np.arange(5, dtype=np.uint64)
+    moved = advance_keys(keys, offset)
+    for key, new in zip(keys.tolist(), moved.tolist()):
+        stream = RngStream.from_key(key, pos=offset)
+        assert words_np(np.uint64(new), i).tolist() == [stream.next_word() for _ in range(5)]
+    # offsets broadcast against keys, one row per offset
+    offsets = np.array([[0], [offset], [2**64 - 1]], dtype=np.uint64)
+    grid = advance_keys(keys, offsets)
+    assert grid.shape == (3, keys.size) and (grid[0] == keys).all() and (grid[1] == moved).all()
+    assert (words_np(grid[2][:, None], i) == words_np(keys[:, None], i - np.uint64(1))).all()
 
 
 @given(st.integers(min_value=0, max_value=2**64 - 1))
