@@ -185,17 +185,18 @@ class SkipEngine:
         self._cols = col * nt
         self._stride = (width * nt).tolist()
 
-    def draw_orders(self, keys, offset: int = 0) -> np.ndarray:
+    def draw_orders(self, keys) -> np.ndarray:
         """Per-pot draw orders of a batch of streams: (T, m, n) team ids.
 
-        Pot k consumes words offset + k*n .. offset + k*n + n-1 of each
-        stream, with the same pick-and-swap as ``RngStream.draw_order``.
-        All pots of all trials pick together, one pick index at a time.
+        Pot k consumes words k*n .. k*n + n-1 of each stream (a stream read
+        from a later word is one moved on by ``rng.advance_keys``), with the
+        same pick-and-swap as ``RngStream.draw_order``.  All pots of all
+        trials pick together, one pick index at a time.
         """
         keys = np.asarray(keys, dtype=np.uint64)[:, None]
         T = keys.shape[0]
         m, n = self.m, self.n
-        words = words_np(keys, np.uint64(offset) + np.arange(m * n, dtype=np.uint64))
+        words = words_np(keys, np.arange(m * n, dtype=np.uint64))
         # pick i of a pot indexes its pool of the n - i teams not yet drawn
         picks = (words.reshape(T * m, n) % np.arange(n, 0, -1, dtype=np.uint64)).view(np.intp)
         pool = np.tile(self.pot_ids, (T, 1))  # row t*m + k: pot k of trial t
@@ -270,7 +271,7 @@ def get_skip_engine(instance: Instance, constraints: ConstraintSet) -> SkipEngin
 def skip_draw(instance: Instance, constraints: ConstraintSet, rng: RngStream) -> DrawOutcome:
     """One Skip draw: pots emptied in order, teams drawn uniformly within a pot."""
     engine = get_skip_engine(instance, constraints)
-    orders = engine.draw_orders([rng.key], offset=rng.pos)[0]
+    orders = engine.draw_orders(advance_keys([rng.key], rng.pos))[0]
     rng.pos += engine.m * engine.n
     return engine.outcome(orders)
 

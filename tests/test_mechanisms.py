@@ -488,7 +488,7 @@ def test_vector_draw_orders_equal_stream_draw_order(ihf):
         engine = get_skip_engine(inst, dl.scenario_constraints(0))
         keys = trial_keys(cell_key(5, "skip", 0), np.arange(100, 140, dtype=np.uint64))
         for offset in (0, 3):
-            orders = engine.draw_orders(keys, offset=offset)
+            orders = engine.draw_orders(advance_keys(keys, offset))
             for key, got in zip(keys.tolist(), orders.tolist()):
                 stream = RngStream.from_key(key, pos=offset)
                 assert got == _stream_orders(inst, stream)
