@@ -20,12 +20,15 @@ soon as a bound breaks, and generates stream words only for the steps of
 the proposals still alive.  Proposal p of a stream is the stream moved on
 by p*m*n words, so a round may hold several consecutive proposals of one
 trial, and the earliest accepted one wins.  Both mechanisms draw without
-replacement by the same flat pick-and-swap.  Skip is the batch kernel of
-``SkipEngine``: every trial carries the id of its canonical state and a
-signature id per group, and a step looks up every group's attempt in one
-gather from the level's dense transition table.  The engine builds every
-level's table when it is made, from the graph of the same completability
-builder that ``feasibility.completable`` uses.
+replacement by the same flat pick-and-swap, which takes the raw stream
+words, one row per pick, and owns the pick arithmetic: pick i of a pool of
+size entries takes entry ``word % (size - i)``, by one scalar divisor per
+pick row on large pools.  Skip is the batch kernel of ``SkipEngine``: every
+trial carries the id of its canonical state and a signature id per group,
+and a step looks up every group's attempt in one gather from the level's
+dense transition table.  The engine builds every level's table when it is
+made, from the graph of the same completability builder that
+``feasibility.completable`` uses.
 The brute-force ``oracle`` module restates both mechanisms independently,
 and the tests compare against it.
 """
@@ -51,6 +54,10 @@ DEFAULT_PROPOSAL_CAP = 10**7
 # many of its trials are still pending; a pass gives each pending trial
 # more than one proposal only while all of them fit in one round
 _ROUND_BLOCK = 8192
+# pools of at least this many rows divide each pick row by a scalar, and
+# smaller ones take one ``%`` over all picks; the measured crossover (see
+# ``_pick_and_swap``)
+_SCALAR_ROWS = 512
 
 
 @dataclass
@@ -84,20 +91,43 @@ def _pos_to_assignment(instance: Instance, pos) -> Assignment:
     return asg
 
 
-def _pick_and_swap(pool: np.ndarray, picks: np.ndarray, out: np.ndarray) -> None:
+def _pick_and_swap(pool: np.ndarray, words: np.ndarray, out: np.ndarray) -> None:
     """Draw k entries without replacement from each row of ``pool`` (R, size).
 
-    Pick i of row r takes slot ``picks[i, r]`` of the row into ``out[i, r]``,
-    and the row's last remaining entry takes that slot, as in
-    ``RngStream.draw_order``.  ``pool`` (C-contiguous) and ``picks`` (k, R)
-    are used up.
+    Pick i of row r takes slot ``words[i, r] % (size - i)`` of the row into
+    ``out[i, r]``, and the row's last remaining entry takes that slot, as in
+    ``RngStream.draw_order``: the divisor of pick i is always size - i.
+    ``pool`` (C-contiguous) is used up; the uint64 stream words ``words``
+    (k, R) are left as they are, and are divided fastest with contiguous
+    rows.
+
+    numpy divides a contiguous array by a scalar with a multiply and a
+    shift, but by an array, a (k, 1) column too, with one hardware division
+    per element.  So on ``_SCALAR_ROWS`` rows or more each pick row is
+    divided by its own scalar, and the remainder is the word less quotient
+    times divisor.  That is a numpy call per pick, which on fewer rows costs
+    more than the division saves (on every pool it made a single Uniform
+    draw 1.2-1.4x slower), so there one ``%`` by the column of divisors
+    serves all picks.  The two cost the same at about 400-500 rows of 7 or 8
+    columns (numpy 2.4, one x86-64 core).
     """
     R, size = pool.shape
+    div = np.arange(size, size - len(words), -1, dtype=np.uint64)
+    if R < _SCALAR_ROWS:
+        picks = words % div[:, None]
+    else:
+        picks = np.empty_like(words)
+        for w, d, q in zip(words, div, picks):
+            np.floor_divide(w, d, out=q)
+        picks *= div[:, None]
+        np.subtract(words, picks, out=picks)
+    picks = picks.view(np.intp)
     picks += np.arange(0, R * size, size)  # each pick's slot in the flat pool
     flat = pool.ravel()
     for i, at in enumerate(picks):
         out[i] = flat[at]
-        flat[at] = pool[:, size - 1 - i]
+        if i < len(picks) - 1:  # the pool is not read after the last pick
+            flat[at] = pool[:, size - 1 - i]
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +226,14 @@ class SkipEngine:
         keys = np.asarray(keys, dtype=np.uint64)[:, None]
         T = keys.shape[0]
         m, n = self.m, self.n
-        words = words_np(keys, np.arange(m * n, dtype=np.uint64))
-        # pick i of a pot indexes its pool of the n - i teams not yet drawn
-        picks = (words.reshape(T * m, n) % np.arange(n, 0, -1, dtype=np.uint64)).view(np.intp)
+        # pick-major, so each pick row is contiguous (a C-ordered idx makes a
+        # C-ordered block): words[i, t*m + k] is pick i of pot k of trial t,
+        # word k*n + i
+        idx = np.arange(n, dtype=np.uint64)[:, None, None] + np.arange(0, m * n, n, dtype=np.uint64)
+        words = words_np(keys, idx).reshape(n, T * m)
         pool = np.tile(self.pot_ids, (T, 1))  # row t*m + k: pot k of trial t
         orders = np.empty_like(pool)
-        _pick_and_swap(pool, picks.T, orders.T)
+        _pick_and_swap(pool, words, orders.T)
         return orders.reshape(T, m, n)
 
     def place_orders(self, orders) -> np.ndarray:
@@ -325,7 +357,8 @@ class VectorUniform:
     picking from the groups its pot's host teams left open, listed in
     ascending order.  A pick takes entry ``word % size`` of the open list
     and moves the list's last entry into its place.  The proposal is
-    accepted iff every band holds.
+    accepted iff every band holds.  A step stores no divisors: it hands its
+    rows of stream words to ``_pick_and_swap``, which computes the picks.
 
     Fixed word positions make every trial's outcome independent of shard
     boundaries and batch sizes, and make a pot's groups a function of its
@@ -376,7 +409,7 @@ class VectorUniform:
         field = {tid: f for f, ids in enumerate(caps) for tid in ids}
         self.nmasks = -(-len(caps) // per_word) if per_word else 0
 
-        def step(pot, start, tids, pool_size, hosts=()):
+        def step(pot, start, tids, hosts=()):
             masks = []
             for w in sorted({field[t] // per_word for t in tids if t in field}):
                 ids = [t for t in tids if t in field and field[t] // per_word == w]
@@ -386,7 +419,6 @@ class VectorUniform:
                 pot=pot,
                 words=range(start, start + len(tids)),
                 tids=tids,
-                moduli=np.arange(pool_size, pool_size - len(tids), -1, dtype=np.uint64)[:, None],
                 hosts=word_of[hosts] if hosts else None,
                 masks=masks,
             )
@@ -400,11 +432,11 @@ class VectorUniform:
             tids = [t.id for t in instance.pot_teams(k) if t.id not in instance.host_exclusion]
             if tids:
                 pot_hosts = [t for t in hosts if instance.pot_of(t) == k]
-                pots.append(step(k, start, tids, len(tids), pot_hosts))
+                pots.append(step(k, start, tids, pot_hosts))
             start += len(tids)
         pots.sort(key=lambda st: (st.hosts is not None, -sum(len(ids) for _, ids, _, _ in st.masks)))
         if hosts:
-            pots.insert(sum(st.hosts is None for st in pots), step(0, 0, hosts, n))
+            pots.insert(sum(st.hosts is None for st in pots), step(0, 0, hosts))
         self.steps = pots
         self._plan()
 
@@ -442,17 +474,17 @@ class VectorUniform:
             if not L:
                 break
             words = words_np(keys if L == keys.size else keys[cols], idx)
-            rows = np.arange(L)
+            first = np.arange(0, L * n, n)  # each proposal's first entry in a flat (L, n) array
             for st, at, checks in run:
                 if st.hosts is None:
                     pool = np.tile(np.arange(n, dtype=np.int8), (L, 1))
                 else:
-                    # open groups in ascending order, as the word layout lists them
-                    taken = np.zeros((L, n), dtype=bool)
-                    taken[rows, pos[st.hosts]] = True
-                    pool = np.nonzero(~taken)[1].astype(np.int8).reshape(L, -1)
-                picks = (words[at] % st.moduli).view(np.intp)
-                _pick_and_swap(pool, picks, pos[st.words.start : st.words.stop])
+                    # open groups in ascending order, as the word layout lists them:
+                    # one flatnonzero over all proposals, less each one's offset
+                    free = np.ones(L * n, dtype=bool)
+                    free[pos[st.hosts] + first] = False
+                    pool = (free.nonzero()[0].reshape(L, -1) - first[:, None]).astype(np.int8)
+                _pick_and_swap(pool, words[at], pos[st.words.start : st.words.stop])
                 ok = None
                 for (w, ids, offs, _), check in zip(st.masks, checks):
                     bits = (1 << (pos[ids] + offs)).sum(axis=0)
@@ -530,6 +562,5 @@ class _Step:
     pot: int  # its pot, 1-based, or 0 for the host step
     words: range  # the word of each of its teams within a proposal, and its row in a round
     tids: list  # its teams, in word order
-    moduli: np.ndarray  # (len(tids), 1): the pool size at each pick
     hosts: np.ndarray | None  # host teams of the pot, whose groups are closed to it
     masks: list  # (mask word, team ids, (k, 1) bit offsets, fields) per word it touches

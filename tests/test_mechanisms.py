@@ -484,15 +484,58 @@ def _stream_orders(inst, stream):
 
 def test_vector_draw_orders_equal_stream_draw_order(ihf):
     rng = random.Random(4)
+    # 128 ihf2025 trials pick from 512 pot pools: the scalar-divisor picks
+    assert 128 * ihf.m >= mechanisms._SCALAR_ROWS
     for inst in (ihf, random_instance(rng, max_pots=4, max_teams=6)):
         engine = get_skip_engine(inst, dl.scenario_constraints(0))
-        keys = trial_keys(cell_key(5, "skip", 0), np.arange(100, 140, dtype=np.uint64))
+        keys = trial_keys(cell_key(5, "skip", 0), np.arange(100, 228, dtype=np.uint64))
         for offset in (0, 3):
             orders = engine.draw_orders(advance_keys(keys, offset))
             for key, got in zip(keys.tolist(), orders.tolist()):
                 stream = RngStream.from_key(key, pos=offset)
                 assert got == _stream_orders(inst, stream)
                 assert stream.pos == offset + inst.m * inst.n
+
+
+def _reference_pick_and_swap(pool, words, out):
+    """Picks by one ``%`` over all words, then the swap after every pick."""
+    R, size = pool.shape
+    picks = (words % np.arange(size, size - len(words), -1, dtype=np.uint64)[:, None]).view(np.intp)
+    picks += np.arange(0, R * size, size)
+    flat = pool.ravel()
+    for i, at in enumerate(picks):
+        out[i] = flat[at]
+        flat[at] = pool[:, size - 1 - i]
+
+
+@pytest.mark.parametrize("size, k", [(1, 1), (2, 2), (5, 3), (7, 7), (8, 8), (12, 5)])
+def test_pick_and_swap_equals_remainder_then_swap(size, k):
+    rng = np.random.default_rng(size * 100 + k)
+    R = mechanisms._SCALAR_ROWS + 7
+    # pick i divides by d = size - i: the row's words run through 0, 2**64 - 1
+    # and d*q - 1, d*q for a small and the largest q, then random words, each
+    # row's word in its own place
+    words = rng.integers(0, 2**64 - 1, size=(k, R), dtype=np.uint64, endpoint=True)
+    for i in range(k):
+        d = size - i
+        top = (2**64 - 1) // d
+        edges = [0, 2**64 - 1, d - 1, d, 3 * d - 1, 3 * d, d * top - 1, d * top]
+        words[i, : len(edges)] = edges
+        words[i] = rng.permutation(words[i])
+    pool = np.array([rng.permutation(100)[:size] for _ in range(R)], dtype=np.int8)
+    expect = np.empty((k, R), dtype=np.int8)
+    _reference_pick_and_swap(pool.copy(), words, expect)
+    # more rows than the switch: each pick row by its scalar divisor
+    got = np.full((k, R), -1, dtype=np.int8)
+    kept = words.copy()
+    mechanisms._pick_and_swap(pool.copy(), words, got)
+    assert (got == expect).all()
+    assert (words == kept).all()
+    # one row at a time: one % over all picks
+    for r in range(R):
+        one = np.full((k, 1), -1, dtype=np.int8)
+        mechanisms._pick_and_swap(pool[r : r + 1].copy(), words[:, r : r + 1], one)
+        assert (one[:, 0] == expect[:, r]).all()
 
 
 def _feasible_skip_case(rng):
