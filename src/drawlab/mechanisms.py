@@ -21,14 +21,12 @@ the proposals still alive.  Proposal p of a stream is the stream moved on
 by p*m*n words, so a round may hold several consecutive proposals of one
 trial, and the earliest accepted one wins.  Both mechanisms draw without
 replacement by the same flat pick-and-swap, which takes the raw stream
-words, one row per pick, and owns the pick arithmetic: pick i of a pool of
-size entries takes entry ``word % (size - i)``, by one scalar divisor per
-pick row on large pools.  Skip is the batch kernel of ``SkipEngine``: every
-trial carries the id of its canonical state and a signature id per group,
-and a step looks up every group's attempt in one gather from the level's
-dense transition table.  The engine builds every level's table when it is
-made, from the graph of the same completability builder that
-``feasibility.completable`` uses.
+words and owns the pick arithmetic.  Skip is the batch kernel of
+``SkipEngine``: every trial carries the id of its canonical state and a
+signature id per group, and a step looks up every group's attempt in one
+gather from the level's dense transition table.  The engine builds every
+level's table when it is made, from the graph of the same completability
+builder that ``feasibility.completable`` uses.
 The brute-force ``oracle`` module restates both mechanisms independently,
 and the tests compare against it.
 """
@@ -54,9 +52,8 @@ DEFAULT_PROPOSAL_CAP = 10**7
 # many of its trials are still pending; a pass gives each pending trial
 # more than one proposal only while all of them fit in one round
 _ROUND_BLOCK = 8192
-# pools of at least this many rows divide each pick row by a scalar, and
-# smaller ones take one ``%`` over all picks; the measured crossover (see
-# ``_pick_and_swap``)
+# pools of at least this many rows divide each pick row by a scalar; the
+# measured crossover (see ``_pick_and_swap``)
 _SCALAR_ROWS = 512
 
 
@@ -96,20 +93,16 @@ def _pick_and_swap(pool: np.ndarray, words: np.ndarray, out: np.ndarray) -> None
 
     Pick i of row r takes slot ``words[i, r] % (size - i)`` of the row into
     ``out[i, r]``, and the row's last remaining entry takes that slot, as in
-    ``RngStream.draw_order``: the divisor of pick i is always size - i.
-    ``pool`` (C-contiguous) is used up; the uint64 stream words ``words``
-    (k, R) are left as they are, and are divided fastest with contiguous
-    rows.
+    ``RngStream.draw_order``.  ``pool`` (C-contiguous) is used up; the uint64
+    stream words ``words`` (k, R) are not changed.
 
-    numpy divides a contiguous array by a scalar with a multiply and a
-    shift, but by an array, a (k, 1) column too, with one hardware division
-    per element.  So on ``_SCALAR_ROWS`` rows or more each pick row is
-    divided by its own scalar, and the remainder is the word less quotient
-    times divisor.  That is a numpy call per pick, which on fewer rows costs
-    more than the division saves (on every pool it made a single Uniform
-    draw 1.2-1.4x slower), so there one ``%`` by the column of divisors
-    serves all picks.  The two cost the same at about 400-500 rows of 7 or 8
-    columns (numpy 2.4, one x86-64 core).
+    numpy divides a contiguous row by a scalar with a multiply and a shift,
+    but by an array, a (k, 1) column too, with a hardware division per
+    element.  So pools of ``_SCALAR_ROWS`` rows or more divide each pick row
+    by its own scalar.  That costs a numpy call per pick, which made single
+    Uniform draws 1.2-1.4x slower, so smaller pools take one ``%`` by the
+    column of divisors; the two break even at 400-500 rows of 7 or 8 columns
+    (numpy 2.4, one x86-64 core).
     """
     R, size = pool.shape
     div = np.arange(size, size - len(words), -1, dtype=np.uint64)
@@ -226,9 +219,8 @@ class SkipEngine:
         keys = np.asarray(keys, dtype=np.uint64)[:, None]
         T = keys.shape[0]
         m, n = self.m, self.n
-        # pick-major, so each pick row is contiguous (a C-ordered idx makes a
-        # C-ordered block): words[i, t*m + k] is pick i of pot k of trial t,
-        # word k*n + i
+        # pick-major, each pick row contiguous (a C-ordered idx gives a C-ordered
+        # block): words[i, t*m + k] is pick i of pot k of trial t, word k*n + i
         idx = np.arange(n, dtype=np.uint64)[:, None, None] + np.arange(0, m * n, n, dtype=np.uint64)
         words = words_np(keys, idx).reshape(n, T * m)
         pool = np.tile(self.pot_ids, (T, 1))  # row t*m + k: pot k of trial t
