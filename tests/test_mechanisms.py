@@ -512,9 +512,8 @@ def _reference_pick_and_swap(pool, words, out):
 def test_pick_and_swap_equals_remainder_then_swap(size, k):
     rng = np.random.default_rng(size * 100 + k)
     R = mechanisms._SCALAR_ROWS + 7
-    # pick i divides by d = size - i: the row's words run through 0, 2**64 - 1
-    # and d*q - 1, d*q for a small and the largest q, then random words, each
-    # row's word in its own place
+    # pick i divides by d = size - i: its words hold 0, 2**64 - 1 and d*q - 1,
+    # d*q for a small and the largest q among random words, in shuffled rows
     words = rng.integers(0, 2**64 - 1, size=(k, R), dtype=np.uint64, endpoint=True)
     for i in range(k):
         d = size - i
