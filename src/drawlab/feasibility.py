@@ -14,11 +14,13 @@ canonical states below the query's state, built level by level in numpy
 and merged by one byte-string key per state; states are canonicalised so
 that groups that look alike are interchangeable, and every full group that
 meets each band's lo shares one closed signature, since it can take no team
-and break no band any more.  That keeps the graph small.  Each level is
-pruned with per-pot tables of per-signature band columns, one gather for
-all bands.  The same builder, rooted at the empty state, gives the Skip
-engine every level's states and attempts, from which it builds its dense
-transition tables.
+and break no band any more.  That keeps the graph small.  One array rule,
+``CompletabilityChecker.place``, gives a group's signature after a team
+fills a slot, for a canonical state and for every transition the builder
+reads.  Each level is pruned with per-pot tables of per-signature band
+columns, one gather for all bands.  The same builder, rooted at the empty
+state, gives the Skip draw its dense per-level transition tables
+(``CompletabilityChecker.skip_tables``), which the Skip engine steps on.
 """
 
 from __future__ import annotations
@@ -147,75 +149,61 @@ class CompletabilityChecker:
         self.n = instance.n
         self.m = instance.m
         bands = constraint_bands(instance, constraints)
-        # (shift, value mask, lo, hi) of each band's counter field
-        self.fields = []
-        shift = 0
-        for band in bands:
-            width = band.hi.bit_length()
-            self.fields.append((shift, (1 << width) - 1, band.lo, band.hi))
-            shift += width
-        self.open_shift = shift
+        # each band's counter field: its shift, value mask and bounds
+        width = np.array([band.hi.bit_length() for band in bands], dtype=np.int64)
+        self.shift = np.cumsum(width) - width
+        self.mask = (1 << width) - 1
+        self.lo = np.array([band.lo for band in bands], dtype=np.int64)
+        self.hi = np.array([band.hi for band in bands], dtype=np.int64)
+        self.open_shift = int(width.sum())
 
         # team types: the bands containing a team -> dense code
         type_of = {}
-        self.type_bands = []  # code -> indices of the bands containing the type
-        self.team_type = []
-        for t in instance.teams:
-            key = tuple(b for b, band in enumerate(bands) if t.id in band.teams)
-            if key not in type_of:
-                type_of[key] = len(self.type_bands)
-                self.type_bands.append(key)
-            self.team_type.append(type_of[key])
-        self.ntypes = len(self.type_bands)
+        keys = [tuple(t.id in band.teams for band in bands) for t in instance.teams]
+        self.team_type = np.array([type_of.setdefault(key, len(type_of)) for key in keys])
+        self.ntypes = len(type_of)
+        # type x band membership: what a team of the type adds to each counter
+        self.band_member = np.array(list(type_of), dtype=np.int64)
         self.full_pot_counts = []
         for k in range(1, self.m + 1):
             row = [0] * self.ntypes
             for t in instance.pot_teams(k):
                 row[self.team_type[t.id]] += 1
             self.full_pot_counts.append(tuple(row))
-        # type x band membership, for the prune's supply counts
-        self.band_member = np.array(
-            [[b in key for b in range(len(bands))] for key in self.type_bands], dtype=np.int64
-        ).reshape(self.ntypes, len(bands))
 
         self.empty_group_sig = ((1 << self.m) - 1) << self.open_shift
-        self.closed_sig = sum(lo << shift for shift, _, lo, _ in self.fields)
+        self.closed_sig = int((self.lo << self.shift).sum())
         self._memo = {}  # root state -> completable
 
-    def place_sig(self, sig: int, type_code: int, pot_idx: int):
-        """Group state after placing a team type, or None on a taken slot or a broken hi.
+    def place(self, sigs, types, pot) -> np.ndarray:
+        """Group signatures after teams of ``types`` fill their groups' slot of pot ``pot``.
 
-        A group that this fills and that meets every band's lo gets ``closed_sig``.
+        ``sigs``, ``types`` and ``pot`` (0-based) broadcast against each
+        other.  An entry is -1 on a taken slot or a broken hi; a group that
+        this fills and that meets every band's lo gets ``closed_sig``.
         """
-        open_bit = 1 << (self.open_shift + pot_idx)
-        if not sig & open_bit:
-            return None
-        result = sig & ~open_bit
-        for b in self.type_bands[type_code]:
-            shift, mask, _, hi = self.fields[b]
-            if sig >> shift & mask >= hi:
-                return None
-            result += 1 << shift
-        full = not result >> self.open_shift
-        if full and all(result >> shift & mask >= lo for shift, mask, lo, _ in self.fields):
-            return self.closed_sig
-        return result
+        sigs = np.asarray(sigs, dtype=np.int64)
+        add = self.band_member[types]
+        open_bit = 1 << (self.open_shift + np.asarray(pot))
+        cnt = (sigs[..., None] >> self.shift & self.mask) + add
+        new = (sigs & ~open_bit) + (add << self.shift).sum(axis=-1)
+        closed = (new >> self.open_shift == 0) & (cnt >= self.lo).all(axis=-1)
+        broken = (sigs & open_bit == 0) | (cnt > self.hi).any(axis=-1)
+        return np.where(broken, -1, np.where(closed, self.closed_sig, new))
 
     def state_of(self, assignment: Assignment):
         """Canonical (group sigs, remaining type counts) of a partial assignment."""
-        sigs = [self.empty_group_sig] * self.n
-        remaining = [list(row) for row in self.full_pot_counts]
-        for k in range(self.m):
-            for g, tid in enumerate(assignment.slots[k]):
-                if tid == -1:
-                    continue
-                tc = self.team_type[tid]
-                sig = self.place_sig(sigs[g], tc, k)
-                if sig is None:
-                    return None  # already breaks an upper bound
-                sigs[g] = sig
-                remaining[k][tc] -= 1
-        return tuple(sorted(sigs)), tuple(tuple(r) for r in remaining)
+        sigs = np.full(self.n, self.empty_group_sig, dtype=np.int64)
+        remaining = np.array(self.full_pot_counts)
+        for k, row in enumerate(assignment.slots):
+            row = np.array(row)
+            g = np.flatnonzero(row != -1)
+            types = self.team_type[row[g]]
+            sigs[g] = self.place(sigs[g], types, k)
+            if (sigs < 0).any():
+                return None  # already breaks an upper bound
+            remaining[k] -= np.bincount(types, minlength=self.ntypes)
+        return tuple(sorted(sigs.tolist())), tuple(map(tuple, remaining.tolist()))
 
     def completable_state(self, sigs, remaining) -> bool:
         """True iff a canonical state has a valid completion; memoised per root."""
@@ -223,6 +211,52 @@ class CompletabilityChecker:
         if key not in self._memo:
             self._memo[key] = bool(self._build(sigs, remaining)[2][0].any())
         return self._memo[key]
+
+    def skip_tables(self):
+        """The Skip draw's dense transition tables below the empty state.
+
+        Returns (feasible, root, bits, tabs, cols), and records whether the
+        empty state completes in the memo.  ``root`` is the empty group
+        signature's id.  Level L's table ``tabs[L]`` is indexed by (a
+        completable state's local id, column, type); an entry is (the
+        child's local id << ``bits``) | the group's new signature id, or -1
+        when the team breaks a band's hi or the child is not completable.
+        Row ``cols[L]`` of the column maps holds each signature id's column
+        times the types: a column per signature with a success in the level,
+        and a last one, of failures only, for all others.  The tables are
+        views of one array, filled by one scatter.
+        """
+        nt = self.ntypes
+        root = (self.empty_group_sig,) * self.n, tuple(self.full_pot_counts)
+        vals, levels, comp = self._build(*root)
+        feasible = self._memo[root] = bool(comp[0].any())
+        bits = max(vals.size - 1, 1).bit_length()
+        # int32 ids and offsets keep the build's temporaries small
+        lev = np.repeat(np.arange(len(levels), dtype=np.int32), [lv[0].size for lv in levels])
+        s, sid, tc, new, child = (np.concatenate(a) for a in zip(*levels))
+        # number the states of all levels in one row; ahead[r]: completable rows before row r
+        first = np.cumsum([0] + [c.size for c in comp], dtype=np.int32)
+        flags = np.concatenate(comp)
+        ahead = np.concatenate([np.zeros(1, np.int32), np.cumsum(flags, dtype=np.int32)])
+        kid = first[lev + 1] + child
+        # an attempt succeeds when its child survived the prune and is completable
+        j = np.flatnonzero((child >= 0) & flags[kid])
+        lev, sid, tc, new = lev[j], sid[j], tc[j], new[j]
+        base = ahead[first]  # completable rows before each level
+        state = ahead[first[lev] + s[j]] - base[lev]
+        child = ahead[kid[j]] - base[lev + 1]
+        used = np.zeros((len(levels), vals.size), dtype=bool)
+        used[lev, sid] = True
+        width = used.sum(axis=1, dtype=np.int32) + 1
+        col = np.where(used, used.cumsum(axis=1, dtype=np.int32) - 1, width[:, None] - 1)
+        rows = np.diff(base)
+        dtype = np.int32 if int(rows.max()) << bits < 2**31 else np.int64
+        sizes = rows[:-1].astype(np.int64) * width * nt
+        starts = np.cumsum(sizes) - sizes
+        flat = np.full(sizes.sum(), -1, dtype=dtype)
+        flat[starts[lev] + (state * width[lev] + col[lev, sid]) * nt + tc] = child << bits | new
+        tabs = [flat[a : a + size].reshape(-1, w, nt) for a, size, w in zip(starts, sizes, width)]
+        return feasible, int(np.searchsorted(vals, self.empty_group_sig)), bits, tabs, col * nt
 
     # -- the builder ------------------------------------------------------
 
@@ -235,15 +269,12 @@ class CompletabilityChecker:
         """
         values = set(sigs)
         for k, row in enumerate(remaining):
-            placed = (self.place_sig(v, tc, k) for v in values for tc, c in enumerate(row) if c)
-            values |= set(placed) - {None}
-        values = sorted(values)
-        index = {v: i for i, v in enumerate(values)}
-        trans = [
-            [[index.get(self.place_sig(v, tc, k), -1) for tc in range(self.ntypes)] for v in values]
-            for k in range(self.m)
-        ]
-        return np.array(values, dtype=np.int64), np.array(trans, np.min_scalar_type(-len(values)))
+            placed = self.place(np.array(list(values))[:, None], np.flatnonzero(row), k)
+            values.update(placed[placed >= 0].tolist())
+        vals = np.array(sorted(values), dtype=np.int64)
+        new = self.place(vals[:, None], np.arange(self.ntypes), np.arange(self.m)[:, None, None])
+        at = np.minimum(np.searchsorted(vals, new), vals.size - 1)
+        return vals, np.where(vals[at] == new, at, -1).astype(np.min_scalar_type(-vals.size))
 
     def _build(self, sigs, remaining):
         """The graph below one canonical state, one whole level at a time.
@@ -320,16 +351,15 @@ class CompletabilityChecker:
         min(r, hi - count), r being the slots that can take band teams and
         need lo - count floored at 0.
         """
-        shift, mask, lo, hi = np.array(self.fields, dtype=np.int64).reshape(-1, 4).T
-        cnt = vals[:, None] >> shift & mask
-        need = np.maximum(lo - cnt, 0)
+        cnt = vals[:, None] >> self.shift & self.mask
+        need = np.maximum(self.lo - cnt, 0)
         supply = full @ self.band_member  # per pot and band
         tables = []
         for k in range(self.m + 1):
             reach = opens[k + 1 :].T @ (supply[k + 1 :] > 0)
             r = np.stack([reach, reach + opens[k][:, None]], axis=1)  # without, with the slot
             need_k = np.broadcast_to(need[:, None], r.shape)
-            cols = (r < need_k, need_k, np.minimum(r, (hi - cnt)[:, None]))
+            cols = (r < need_k, need_k, np.minimum(r, (self.hi - cnt)[:, None]))
             tables.append((np.stack(cols, axis=2).astype(np.int8), supply[k + 1 :].sum(axis=0)))
         return tables
 

@@ -24,9 +24,9 @@ replacement by the same flat pick-and-swap, which takes the raw stream
 words and owns the pick arithmetic.  Skip is the batch kernel of
 ``SkipEngine``: every trial carries the id of its canonical state and a
 signature id per group, and a step looks up every group's attempt in one
-gather from the level's dense transition table.  The engine builds every
-level's table when it is made, from the graph of the same completability
-builder that ``feasibility.completable`` uses.
+gather from the level's dense transition table.  ``feasibility`` builds
+those tables, from the graph of the same completability builder that
+``feasibility.completable`` uses, and the engine steps on them.
 The brute-force ``oracle`` module restates both mechanisms independently,
 and the tests compare against it.
 """
@@ -141,10 +141,10 @@ class SkipEngine:
     into a group of signature s has an outcome that depends on (state, s,
     tc) alone: the child's local id and the group's new signature id, or a
     failure when a band's hi breaks or the child is not completable.  The
-    engine builds every level's dense table of these outcomes when it is
-    made, from the completability builder's graph below the empty state, so
-    a step is one gather over all groups of all trials, which then take
-    their first group whose attempt succeeds.
+    checker builds every level's dense table of these outcomes
+    (``CompletabilityChecker.skip_tables``) when the engine is made, and
+    the engine steps on them: a step is one gather over all groups of all
+    trials, which then take their first group whose attempt succeeds.
     """
 
     def __init__(self, instance: Instance, constraints: ConstraintSet):
@@ -160,53 +160,7 @@ class SkipEngine:
             dtype=np.min_scalar_type(m * n - 1),
         )
         self.team_type = np.array(checker.team_type, dtype=np.int32)
-        root = (checker.empty_group_sig,) * n, tuple(checker.full_pot_counts)
-        vals, levels, comp = checker._build(*root)
-        self.feasible = checker._memo[root] = bool(comp[0].any())
-        self._root_sig = int(np.searchsorted(vals, checker.empty_group_sig))
-        self._tables(vals.size, levels, comp)
-
-    def _tables(self, nvals: int, levels: list, comp: list) -> None:
-        """Level L's outcome table ``_tabs[L]`` and its column map ``_cols[L]``.
-
-        The table is indexed by (a completable state's local id, column,
-        type); an entry is (the child's local id << ``_bits``) | the new
-        signature id, or -1.  The map holds each signature id's column times
-        the types: a column per signature with a success in the level, and a
-        last one, of failures only, for all others.  The tables are views of
-        one array, filled by one scatter.
-        """
-        nt = self.checker.ntypes
-        self._bits = bits = max(nvals - 1, 1).bit_length()
-        # int32 ids and offsets keep the build's temporaries small
-        lev = np.repeat(np.arange(len(levels), dtype=np.int32), [lv[0].size for lv in levels])
-        s, sid, tc, new, child = (np.concatenate(a) for a in zip(*levels))
-        # number the states of all levels in one row; ahead[r]: completable rows before row r
-        first = np.cumsum([0] + [c.size for c in comp], dtype=np.int32)
-        flags = np.concatenate(comp)
-        ahead = np.concatenate([np.zeros(1, np.int32), np.cumsum(flags, dtype=np.int32)])
-        kid = first[lev + 1] + child
-        # an attempt succeeds when its child survived the prune and is completable
-        j = np.flatnonzero((child >= 0) & flags[kid])
-        lev, sid, tc, new = lev[j], sid[j], tc[j], new[j]
-        base = ahead[first]  # completable rows before each level
-        state = ahead[first[lev] + s[j]] - base[lev]
-        child = ahead[kid[j]] - base[lev + 1]
-        used = np.zeros((len(levels), nvals), dtype=bool)
-        used[lev, sid] = True
-        width = used.sum(axis=1, dtype=np.int32) + 1
-        col = np.where(used, used.cumsum(axis=1, dtype=np.int32) - 1, width[:, None] - 1)
-        rows = np.diff(base)
-        dtype = np.int32 if int(rows.max()) << bits < 2**31 else np.int64
-        sizes = rows[:-1].astype(np.int64) * width * nt
-        starts = np.cumsum(sizes) - sizes
-        flat = np.full(sizes.sum(), -1, dtype=dtype)
-        flat[starts[lev] + (state * width[lev] + col[lev, sid]) * nt + tc] = child << bits | new
-        self._tabs = [
-            flat[a : a + size].reshape(-1, w, nt) for a, size, w in zip(starts, sizes, width)
-        ]
-        self._cols = col * nt
-        self._stride = (width * nt).tolist()
+        self.feasible, self._root_sig, self._bits, self._tabs, self._cols = checker.skip_tables()
 
     def draw_orders(self, keys) -> np.ndarray:
         """Per-pot draw orders of a batch of streams: (T, m, n) team ids.
@@ -245,9 +199,9 @@ class SkipEngine:
         sid = np.full((T, n), self._root_sig, dtype=np.intp)
         state = np.zeros(T, dtype=np.int32)
         groups = np.empty_like(orders, dtype=np.int8)  # column L: the group taken at level L
-        for L, (tab, cols, stride) in enumerate(zip(self._tabs, self._cols, self._stride)):
+        for L, (tab, cols) in enumerate(zip(self._tabs, self._cols)):
             idx = cols.take(sid)
-            idx += (state * stride + types[:, L])[:, None]
+            idx += (state * (tab.shape[1] * tab.shape[2]) + types[:, L])[:, None]
             out = tab.take(idx)
             g = (out >= 0).argmax(axis=1)  # each trial's first group that keeps it completable
             at = first + g

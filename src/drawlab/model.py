@@ -164,13 +164,6 @@ class Instance:
     def pot_of(self, team_id: int) -> int:
         return team_id // self.n + 1
 
-    def confederation_counts_per_pot(self):
-        """(m, C) matrix of team counts, mirroring the pot-composition table."""
-        out = [[0] * len(self.confederations) for _ in range(self.m)]
-        for t in self.teams:
-            out[t.pot - 1][t.confederation] += 1
-        return out
-
     # -- serialization -------------------------------------------------
 
     def to_document(self) -> dict:
@@ -369,9 +362,6 @@ class GroupComposition:
     def __init__(self, counts, confederations):
         self.counts = tuple(tuple(row) for row in counts)  # (n groups, C confs)
         self.confederations = tuple(confederations)
-
-    def group_total(self, group: int) -> int:
-        return sum(self.counts[group])
 
     def unattractive(self) -> int:
         """Same-confederation pairs summed over groups: C(t, 2) per cell."""

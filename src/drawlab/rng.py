@@ -27,14 +27,6 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def mix64_np(z: np.ndarray) -> np.ndarray:
-    """Vectorised splitmix64 finalizer; matches :func:`mix64` word for word.
-
-    Returns a new array and leaves ``z`` unchanged.
-    """
-    return _mix64_inplace(np.array(z, dtype=np.uint64))
-
-
 def _mix64_inplace(z: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer applied in place to a uint64 array, which it returns."""
     with np.errstate(over="ignore"):
@@ -106,23 +98,10 @@ class RngStream:
         self.key = derive_key(seed, *labels)
         self.pos = 0
 
-    @classmethod
-    def from_key(cls, key: int, pos: int = 0) -> "RngStream":
-        s = cls.__new__(cls)
-        s.key = key
-        s.pos = pos
-        return s
-
     def next_word(self) -> int:
         w = mix64(self.key + (self.pos + 1) * _GAMMA)
         self.pos += 1
         return w
-
-    def randbelow(self, bound: int) -> int:
-        """Uniform integer in [0, bound). Modulo bias is ~bound / 2**64."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        return self.next_word() % bound
 
     def draw_order(self, items: list) -> list:
         """Uniform random ordering of ``items``.

@@ -325,14 +325,14 @@ def test_row_keys_sort_like_the_rows(top):
     assert _row_keys(counts[:0], rows[:0]).size == 0
 
 
-def test_place_sig_gives_full_groups_that_meet_every_lo_one_closed_signature(ihf):
+def test_place_gives_full_groups_that_meet_every_lo_one_closed_signature(ihf):
     cs = dl.scenario_constraints(31)  # E keeps two or three Europeans in a group
     checker = CompletabilityChecker(ihf, cs)
 
     def fill(names):
         sig = checker.empty_group_sig
         for k, name in enumerate(names):
-            sig = checker.place_sig(sig, checker.team_type[ihf.team(name).id], k)
+            sig = int(checker.place(sig, checker.team_type[ihf.team(name).id], k))
         return sig
 
     closed = checker.closed_sig
@@ -341,7 +341,7 @@ def test_place_sig_gives_full_groups_that_meet_every_lo_one_closed_signature(ihf
     assert fill(("Germany", "Iceland", "Brazil", "Kuwait")) == closed
     # one European: the group keeps its own signature, and no state holding it completes
     broken = fill(("Egypt", "Portugal", "Qatar", "Chile"))
-    assert broken is not None and broken != closed
+    assert broken != -1 and broken != closed
     assert broken < 1 << checker.open_shift  # no open slot
     asg = dl.Assignment.empty(ihf)
     for name in ("Egypt", "Portugal", "Qatar", "Chile"):
@@ -351,13 +351,116 @@ def test_place_sig_gives_full_groups_that_meet_every_lo_one_closed_signature(ihf
     assert not checker.completable_state(sigs, remaining)
     # the closed signature takes no further team
     assert all(
-        checker.place_sig(closed, tc, k) is None
+        checker.place(closed, tc, k) == -1
         for tc in range(checker.ntypes)
         for k in range(ihf.m)
     )
     # every group of a valid complete assignment is closed
     valid = dl.draw_trial(ihf, cs, "skip", 1, 0).assignment
     assert checker.state_of(valid)[0] == (closed,) * ihf.n
+
+
+class _ScalarRule:
+    """The scalar placement rule and signature closure, one Python call per entry."""
+
+    def __init__(self, inst, cs, checker):
+        self.fields, shift = [], 0
+        bands = constraint_bands(inst, cs)
+        for band in bands:
+            width = band.hi.bit_length()
+            self.fields.append((shift, (1 << width) - 1, band.lo, band.hi))
+            shift += width
+        self.open_shift = shift
+        self.closed_sig = sum(lo << shift for shift, _, lo, _ in self.fields)
+        self.type_bands = {}
+        for t in inst.teams:
+            bs = tuple(b for b, band in enumerate(bands) if t.id in band.teams)
+            self.type_bands.setdefault(checker.team_type[t.id], bs)
+        self.ntypes, self.m, self.n = len(self.type_bands), inst.m, inst.n
+        self.team_type = checker.team_type
+
+    def place_sig(self, sig, type_code, pot_idx):
+        open_bit = 1 << (self.open_shift + pot_idx)
+        if not sig & open_bit:
+            return None
+        result = sig & ~open_bit
+        for b in self.type_bands[type_code]:
+            shift, mask, _, hi = self.fields[b]
+            if sig >> shift & mask >= hi:
+                return None
+            result += 1 << shift
+        full = not result >> self.open_shift
+        if full and all(result >> shift & mask >= lo for shift, mask, lo, _ in self.fields):
+            return self.closed_sig
+        return result
+
+    def state_of(self, asg, empty_sig, full_pot_counts):
+        sigs = [empty_sig] * self.n
+        remaining = [list(row) for row in full_pot_counts]
+        for k in range(self.m):
+            for g, tid in enumerate(asg.slots[k]):
+                if tid == -1:
+                    continue
+                sig = self.place_sig(sigs[g], self.team_type[tid], k)
+                if sig is None:
+                    return None
+                sigs[g] = sig
+                remaining[k][self.team_type[tid]] -= 1
+        return tuple(sorted(sigs)), tuple(tuple(r) for r in remaining)
+
+    def signatures(self, sigs, remaining):
+        values = set(sigs)
+        for k, row in enumerate(remaining):
+            placed = (self.place_sig(v, tc, k) for v in values for tc, c in enumerate(row) if c)
+            values |= set(placed) - {None}
+        values = sorted(values)
+        index = {v: i for i, v in enumerate(values)}
+        trans = [
+            [[index.get(self.place_sig(v, tc, k), -1) for tc in range(self.ntypes)] for v in values]
+            for k in range(self.m)
+        ]
+        return values, trans
+
+
+def _check_placement_rule(inst, cs, asg):
+    """``place``, ``state_of`` and ``_signatures`` against the scalar rule below one root.
+
+    Returns whether the root keeps every band's hi.
+    """
+    checker = CompletabilityChecker(inst, cs)
+    rule = _ScalarRule(inst, cs, checker)
+    root = checker.state_of(asg)
+    assert root == rule.state_of(asg, checker.empty_group_sig, checker.full_pot_counts)
+    if root is None:
+        return False
+    vals, trans = checker._signatures(*root)
+    values, want = rule.signatures(*root)
+    # the signature ids decide the table bytes, so the values must be equal
+    assert vals.tolist() == values
+    assert trans.tolist() == want and trans.dtype == np.min_scalar_type(-len(values))
+    # every (reachable signature, type, pot), one call for all of them
+    got = checker.place(vals[:, None, None], np.arange(rule.ntypes)[:, None], np.arange(inst.m))
+    expect = [
+        [[rule.place_sig(v, tc, k) for k in range(inst.m)] for tc in range(rule.ntypes)]
+        for v in values
+    ]
+    assert got.tolist() == [[[-1 if e is None else e for e in r] for r in t] for t in expect]
+    return True
+
+
+def test_place_and_signatures_equal_the_scalar_rule(ihf):
+    # below the empty root of every ihf2025 scenario
+    for scenario in range(32):
+        cs = dl.scenario_constraints(scenario)
+        assert _check_placement_rule(ihf, cs, dl.Assignment.empty(ihf))
+    # and below mid-draw roots of random instances, some of which break a hi
+    rng = random.Random(17)
+    kept = 0
+    for _ in range(40):
+        inst = random_instance(rng, max_pots=4, max_teams=6)
+        cs = dl.scenario_constraints(rng.randrange(32))
+        kept += _check_placement_rule(inst, cs, _any_partial(rng, inst))
+    assert 10 < kept < 40
 
 
 def test_completable_has_a_completable_extension():

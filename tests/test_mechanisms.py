@@ -19,7 +19,7 @@ from drawlab.mechanisms import (
     trial_stream,
 )
 from drawlab.oracle import _Rules, _naive_skip_place, _naive_uniform_trial
-from drawlab.rng import RngStream, advance_keys, trial_keys
+from drawlab.rng import advance_keys, trial_keys
 
 from conftest import random_feasible_case, random_instance
 
@@ -491,8 +491,9 @@ def test_vector_draw_orders_equal_stream_draw_order(ihf):
         keys = trial_keys(cell_key(5, "skip", 0), np.arange(100, 228, dtype=np.uint64))
         for offset in (0, 3):
             orders = engine.draw_orders(advance_keys(keys, offset))
-            for key, got in zip(keys.tolist(), orders.tolist()):
-                stream = RngStream.from_key(key, pos=offset)
+            for t, got in zip(range(100, 228), orders.tolist()):
+                stream = trial_stream(5, "skip", 0, t)
+                stream.pos = offset
                 assert got == _stream_orders(inst, stream)
                 assert stream.pos == offset + inst.m * inst.n
 

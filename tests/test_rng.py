@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 from hypothesis import given, strategies as st
 
 from drawlab.rng import (
@@ -7,8 +6,6 @@ from drawlab.rng import (
     advance_keys,
     derive_key,
     derive_sub,
-    mix64,
-    mix64_np,
     trial_keys,
     words_np,
 )
@@ -39,11 +36,17 @@ def test_distinct_labels_distinct_streams():
     assert len(seen) == 200
 
 
+def _stream_at(key: int, pos: int) -> RngStream:
+    """A stream with an arbitrary key, read from word ``pos`` on."""
+    stream = RngStream(0)
+    stream.key, stream.pos = key, pos
+    return stream
+
+
 def test_scalar_and_vector_words_agree():
-    key = derive_key(123, 4, 9)
-    scalar = RngStream.from_key(key)
+    scalar = RngStream(123, 4, 9)
     expect = [scalar.next_word() for _ in range(64)]
-    got = words_np(np.uint64(key), np.arange(64)).tolist()
+    got = words_np(np.uint64(derive_key(123, 4, 9)), np.arange(64)).tolist()
     assert got == expect
 
 
@@ -65,7 +68,7 @@ def test_advanced_key_reads_the_stream_from_its_offset(keys, offset):
     i = np.arange(5, dtype=np.uint64)
     moved = advance_keys(keys, offset)
     for key, new in zip(keys.tolist(), moved.tolist()):
-        stream = RngStream.from_key(key, pos=offset)
+        stream = _stream_at(key, offset)
         assert words_np(np.uint64(new), i).tolist() == [stream.next_word() for _ in range(5)]
     # offsets broadcast against keys, one row per offset
     offsets = np.array([[0], [offset], [2**64 - 1]], dtype=np.uint64)
@@ -74,35 +77,29 @@ def test_advanced_key_reads_the_stream_from_its_offset(keys, offset):
     assert (words_np(grid[2][:, None], i) == words_np(keys[:, None], i - np.uint64(1))).all()
 
 
-@given(st.integers(min_value=0, max_value=2**64 - 1))
-def test_mix64_vectorised_matches_scalar(z):
-    assert int(mix64_np(np.array([z], dtype=np.uint64))[0]) == mix64(z)
+@given(*[st.integers(min_value=0, max_value=2**64 - 1)] * 2)
+def test_words_np_matches_next_word_at_any_key_and_position(key, pos):
+    stream = _stream_at(key, pos)
+    assert int(words_np(np.uint64(key), np.uint64(pos))) == stream.next_word()
 
 
-def test_mix64_np_leaves_its_input_unchanged():
+def test_words_np_and_trial_keys_leave_their_inputs_unchanged():
     rng = np.random.default_rng(8)
     words = np.concatenate(
         [np.array([0, 2**64 - 1], dtype=np.uint64), rng.integers(0, 2**64, 62, dtype=np.uint64)]
     )
-    before = words.copy()
-    got = mix64_np(words)
-    assert (words == before).all()
-    assert got.tolist() == [mix64(z) for z in before.tolist()]
+    idx = np.arange(3, dtype=np.uint64)[:, None]
+    before, idx_before = words.copy(), idx.copy()
+    got = words_np(words, idx)
+    assert (words == before).all() and (idx == idx_before).all()
+    assert got.tolist() == [
+        [_stream_at(key, i).next_word() for key in before.tolist()] for i in range(3)
+    ]
     # a second call on the same input gives the same words
-    assert (mix64_np(words) == got).all()
-    # neither do the stream-word and trial-key builders change their inputs
-    words_np(words, np.arange(3, dtype=np.uint64)[:, None])
-    trial_keys(7, words)
+    assert (words_np(words, idx) == got).all()
+    keys = trial_keys(7, words)
     assert (words == before).all()
-
-
-def test_randbelow_bounds_and_error():
-    s = RngStream(5)
-    vals = [s.randbelow(7) for _ in range(500)]
-    assert set(vals) <= set(range(7))
-    assert len(set(vals)) == 7  # all residues show up quickly
-    with pytest.raises(ValueError):
-        s.randbelow(0)
+    assert keys.tolist() == [derive_sub(7, t) for t in before.tolist()]
 
 
 def test_draw_order_is_permutation_and_word_count():
