@@ -71,15 +71,8 @@ def _write_out(path, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    try:
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise _IOFailure(str(exc)) from None
-
-
-class _IOFailure(Exception):
-    pass
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 def _default_threads() -> int:
@@ -151,8 +144,6 @@ def _summary_table(results) -> str:
 def cmd_simulate(args) -> int:
     scenarios = _parse_scenarios(args.scenario)
     mechanisms = _parse_mechanisms(args.mechanism)
-    if args.trials < 1:
-        raise ValueError("--trials must be >= 1")
     instance = get_instance(args.instance)
     workers = _default_threads() if args.threads is None else args.threads
     results = experiment.sweep(
@@ -172,8 +163,6 @@ def cmd_probs(args) -> int:
     mechanisms = _parse_mechanisms(args.mechanism)
     if len(scenarios) != 1 or len(mechanisms) != 1:
         raise ValueError("probs needs exactly one scenario and one mechanism")
-    if args.trials < 1:
-        raise ValueError("--trials must be >= 1")
     instance = get_instance(args.instance)
     workers = _default_threads() if args.threads is None else args.threads
     result = experiment.run_scenario(
@@ -185,11 +174,8 @@ def cmd_probs(args) -> int:
 
 
 def cmd_pareto(args) -> int:
-    try:
-        with open(args.results) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise _IOFailure(str(exc)) from None
+    with open(args.results) as fh:
+        text = fh.read()
     results = experiment.parse_results(text)
     if args.mechanism:
         results = [r for r in results if r.mechanism == args.mechanism]
@@ -295,7 +281,7 @@ def main(argv=None) -> int:
     except (ProposalBudgetError, EnumerationBudgetError) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except _IOFailure as exc:
+    except OSError as exc:  # an unreadable input or an unwritable output
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except DrawlabError as exc:

@@ -73,21 +73,29 @@ class ParetoResult:
 # ---------------------------------------------------------------------------
 
 
-def _shard(instance, constraints, mechanism, seed, lo, hi, max_proposals):
-    """Integer counters of trials [lo, hi) of one cell, accumulated batch by batch."""
+def _run_shard(args):
+    """One shard's record of trials [lo, hi) of one cell, accumulated batch by batch.
+
+    The record is (pair counts, histogram, proposals, elapsed ms); Skip
+    makes no proposals, so it records 0.
+    """
+    instance, scenario, mechanism, seed, lo, hi, max_proposals = args
+    t0 = time.perf_counter()
+    constraints = scenario_constraints(scenario)
     if mechanism == "uniform":
         sampler = get_uniform_sampler(instance, constraints)
         batch = _CHUNK
 
         def draw(a, b):
-            return sampler.run_trials(seed, a, b, max_proposals=max_proposals)
+            pos, props = sampler.run_trials(seed, a, b, max_proposals=max_proposals)
+            return pos, int(props.sum())
 
     else:
         engine = get_skip_engine(instance, constraints)
         batch = _SKIP_BATCH
 
         def draw(a, b):
-            return engine.run_trials(seed, a, b), None
+            return engine.run_trials(seed, a, b), 0
 
     acc = MatrixAccumulator(instance.m, instance.n)
     confs = [[t.confederation for t in instance.pot_teams(k)] for k in range(1, instance.m + 1)]
@@ -96,35 +104,16 @@ def _shard(instance, constraints, mechanism, seed, lo, hi, max_proposals):
     hist = np.zeros(instance.n * int(same_conf.max()) + 1, dtype=np.int64)
     proposals = 0
     for start in range(lo, hi, batch):
-        pos, props = draw(start, min(start + batch, hi))
-        if props is not None:
-            proposals += int(props.sum())
+        pos, used = draw(start, min(start + batch, hi))
+        proposals += used
         u = same_conf[acc.add_pos_batch(pos)].sum(axis=1)  # unattractive matches per trial
         hist += np.bincount(u, minlength=hist.size)
-    return acc.counts, acc.trials, hist, proposals if mechanism == "uniform" else None
+    return acc.counts, hist, proposals, (time.perf_counter() - t0) * 1000.0
 
 
-def _run_shard(args):
-    """One shard's counters plus its own elapsed milliseconds."""
-    instance, scenario, mechanism, seed, lo, hi, max_proposals = args
-    t0 = time.perf_counter()
-    parts = _shard(instance, scenario_constraints(scenario), mechanism, seed, lo, hi, max_proposals)
-    return parts + ((time.perf_counter() - t0) * 1000.0,)
-
-
-def _merge_shards(parts):
-    counts = sum(p[0] for p in parts)
-    trials = sum(p[1] for p in parts)
-    hist = sum(p[2] for p in parts)
-    proposals = None
-    if parts[0][3] is not None:
-        proposals = sum(p[3] for p in parts)
-    elapsed_ms = sum(p[4] for p in parts)
-    return counts, trials, hist, proposals, elapsed_ms
-
-
-def _result_from_counts(instance, scenario, mechanism, trials, seed, merged):
-    counts, _, hist, proposals, elapsed_ms = merged
+def _result_from_counts(instance, scenario, mechanism, trials, seed, parts):
+    """A cell's result from its shards' records, summed field by field."""
+    counts, hist, proposals, elapsed_ms = map(sum, zip(*parts))
     n, m = instance.n, instance.m
     probs = counts.astype(np.float64) / trials
     sq = float(np.square(probs).sum())
@@ -140,9 +129,6 @@ def _result_from_counts(instance, scenario, mechanism, trials, seed, merged):
     mean_u = float((values * hist[values]).sum()) / trials
     var_u = float((values.astype(np.float64) ** 2 * hist[values]).sum()) / trials - mean_u**2
     stderr_u = np.sqrt(max(var_u, 0.0) / trials)
-    feasible = None
-    if proposals is not None:
-        feasible = trials / proposals
     return ScenarioResult(
         scenario=scenario,
         mechanism=mechanism,
@@ -153,7 +139,7 @@ def _result_from_counts(instance, scenario, mechanism, trials, seed, merged):
         i_hat=i_hat,
         inequality=ineq,
         stderr_i=float(stderr_i),
-        feasible_proportion=feasible,
+        feasible_proportion=trials / proposals if mechanism == "uniform" else None,
         histogram=histogram,
         elapsed_ms=elapsed_ms,
         m=m,
@@ -232,8 +218,8 @@ def _run_cells(instance, cells, trials, seed, workers, max_proposals) -> list:
     results = []
     for i, (s, mech) in enumerate(cells):
         # a cell's time is the sum of its own shards' times
-        merged = _merge_shards(parts[i * len(shards) : (i + 1) * len(shards)])
-        results.append(_result_from_counts(instance, s, mech, trials, seed, merged))
+        cell = parts[i * len(shards) : (i + 1) * len(shards)]
+        results.append(_result_from_counts(instance, s, mech, trials, seed, cell))
     return results
 
 

@@ -221,7 +221,7 @@ class SkipEngine:
         keys = trial_keys(ckey, np.arange(t_lo, t_hi, dtype=np.uint64))
         return self.place_orders(self.draw_orders(keys))
 
-    def outcome(self, orders, want_trace: bool = True) -> DrawOutcome:
+    def outcome(self, orders) -> DrawOutcome:
         """One placed trial of (m, n) draw orders, with its trace.
 
         A team's skipped groups are the groups of its pot still open when it
@@ -230,13 +230,12 @@ class SkipEngine:
         orders = np.asarray(orders, dtype=np.intp)
         pos = self.place_orders(orders[None])[0].tolist()
         trace = []
-        if want_trace:
-            for order in orders.tolist():
-                taken = set()
-                for tid in order:
-                    g = pos[tid]
-                    trace.append((tid, g, tuple(h for h in range(g) if h not in taken)))
-                    taken.add(g)
+        for order in orders.tolist():
+            taken = set()
+            for tid in order:
+                g = pos[tid]
+                trace.append((tid, g, tuple(h for h in range(g) if h not in taken)))
+                taken.add(g)
         asg = _pos_to_assignment(self.instance, pos)
         return DrawOutcome(asg, proposals_used=1, trace=tuple(trace))
 
@@ -254,7 +253,7 @@ def skip_draw(instance: Instance, constraints: ConstraintSet, rng: RngStream) ->
     return engine.outcome(orders)
 
 
-def skip_draw_with_orders(instance, constraints, orders, want_trace: bool = True) -> DrawOutcome:
+def skip_draw_with_orders(instance, constraints, orders) -> DrawOutcome:
     """Skip placement for pinned draw orders (per-pot lists of team ids)."""
     engine = get_skip_engine(instance, constraints)
     if len(orders) != instance.m:
@@ -263,7 +262,7 @@ def skip_draw_with_orders(instance, constraints, orders, want_trace: bool = True
         expect = {t.id for t in instance.pot_teams(k)}
         if set(order) != expect or len(order) != len(expect):
             raise ValueError(f"orders[{k - 1}] must list every pot-{k} team exactly once")
-    return engine.outcome(orders, want_trace=want_trace)
+    return engine.outcome(orders)
 
 
 def draw_trial(

@@ -118,8 +118,9 @@ class Instance:
                 raise InstanceFormatError(
                     f"pot {k} has {count} teams, expected {self.n} in every pot"
                 )
-        if len(self._by_name) != len(self.teams):
-            raise InstanceFormatError("duplicate team names")
+        for t in self.teams:
+            if self._by_name[t.name] is not t:  # the map keeps a name's last team
+                raise InstanceFormatError(f"duplicate team name {t.name!r}")
         names = [c.name for c in self.confederations]
         if len(set(names)) != len(names):
             raise InstanceFormatError("duplicate confederation names")
@@ -197,14 +198,14 @@ def _assemble(name, conf_names, pots, host_exclusion, europe) -> Instance:
     ``conf_names`` fixes the confederation ids in its order; the host
     exclusion lists team names, and ``europe`` is a name or None.
     """
+    # before Instance, which numbers the pots it sees and so misses an empty one
+    if len({len(pot) for pot in pots}) > 1:
+        raise InstanceFormatError(f"pots have unequal sizes: {[len(pot) for pot in pots]}")
     confs = tuple(Confederation(i, cname) for i, cname in enumerate(conf_names))
     conf_id = {c.name: c.id for c in confs}
     rows = [(k, tname, cname) for k, pot in enumerate(pots, start=1) for tname, cname in pot]
     teams = [Team(tid, tname, conf_id[cname], k) for tid, (k, tname, cname) in enumerate(rows)]
-    by_name = {}
-    for t in teams:
-        if by_name.setdefault(t.name, t.id) != t.id:
-            raise InstanceFormatError(f"duplicate team name {t.name!r}")
+    by_name = {t.name: t.id for t in teams}
     excl = set()
     for nm in host_exclusion:
         if nm not in by_name:
@@ -217,12 +218,13 @@ def _assemble(name, conf_names, pots, host_exclusion, europe) -> Instance:
 
 def build_instance(pots, host_exclusion=(), europe=None, name="custom") -> Instance:
     """Construct an instance from nested (team name, confederation name) pots."""
-    sizes = {len(pot) for pot in pots}
-    if len(sizes) != 1:
-        raise InstanceFormatError(f"pots have unequal sizes: {sorted(len(p) for p in pots)}")
     # confederation ids in order of first appearance
     conf_names = list(dict.fromkeys(conf for pot in pots for _, conf in pot))
     return _assemble(name, conf_names, pots, host_exclusion, europe)
+
+
+def _list_of(value, kind) -> bool:
+    return isinstance(value, list) and all(isinstance(v, kind) for v in value)
 
 
 def load_instance(text) -> Instance:
@@ -240,35 +242,34 @@ def load_instance(text) -> Instance:
         if field not in doc:
             raise InstanceFormatError(f"instance document missing field {field!r}")
     conf_names = doc["confederations"]
-    if not isinstance(conf_names, list) or not all(isinstance(c, str) for c in conf_names):
+    if not _list_of(conf_names, str):
         raise InstanceFormatError("'confederations' must be a list of names")
+    if not _list_of(doc["pots"], list):
+        raise InstanceFormatError("'pots' must be a list of lists of teams")
     declared = set(conf_names)
     pots = []
     for k, pot in enumerate(doc["pots"], start=1):
         rows = []
         for entry in pot:
-            try:
-                tname, cname = entry["name"], entry["confederation"]
-            except (TypeError, KeyError):
-                raise InstanceFormatError(
-                    f"pot {k}: entries need 'name' and 'confederation'"
-                ) from None
+            row = [entry.get("name"), entry.get("confederation")] if isinstance(entry, dict) else [None]
+            if not _list_of(row, str):
+                raise InstanceFormatError(f"pot {k}: entries need a 'name' and a 'confederation' name")
+            tname, cname = row
             if cname not in declared:
                 raise InstanceFormatError(
                     f"team {tname!r}: unknown confederation {cname!r}"
                 )
             rows.append((tname, cname))
         pots.append(rows)
-    sizes = {len(p) for p in pots}
-    if len(sizes) > 1:
-        raise InstanceFormatError(
-            f"pots have unequal sizes: {[len(p) for p in pots]}"
-        )
+    host_exclusion = doc.get("host_exclusion", [])
+    if not _list_of(host_exclusion, str):
+        raise InstanceFormatError("'host_exclusion' must be a list of team names")
     # keep the declared confederation order, unused entries included; an
     # empty "europe" means no Europe
-    name = doc.get("name", "unnamed")
     europe = doc.get("europe") or None
-    return _assemble(name, conf_names, pots, doc.get("host_exclusion", ()), europe)
+    if not (europe is None or isinstance(europe, str)):
+        raise InstanceFormatError("'europe' must be a confederation name")
+    return _assemble(doc.get("name", "unnamed"), conf_names, pots, host_exclusion, europe)
 
 
 def builtin_instance_path(name: str) -> Path:

@@ -66,31 +66,11 @@ class _Rules:
         self.lo, self.hi = EUROPE_BOUNDS
         self.host = instance.host_exclusion
 
-    def group_ok_full(self, members) -> bool:
-        """Valid completed group (one member per pot)."""
-        by_conf = {}
-        hosts = 0
-        for tid in members:
-            c = self.conf[tid]
-            by_conf[c] = by_conf.get(c, 0) + 1
-            if tid in self.host:
-                hosts += 1
-        if hosts > 1:
-            return False
-        for c in self.bound:
-            if by_conf.get(c, 0) > 1:
-                return False
-        if self.europe is not None:
-            e = by_conf.get(self.europe, 0)
-            if e < self.lo or e > self.hi:
-                return False
-        return True
-
     def host_ok(self, members) -> bool:
         return sum(1 for tid in members if tid in self.host) <= 1
 
-    def group_ok_partial(self, members, open_slots) -> bool:
-        """No forced violation in a partially filled group."""
+    def group_ok(self, members) -> bool:
+        """No forced violation in a group, its m - len(members) open slots still to fill."""
         by_conf = {}
         hosts = 0
         for tid in members:
@@ -105,7 +85,7 @@ class _Rules:
                 return False
         if self.europe is not None:
             e = by_conf.get(self.europe, 0)
-            if e > self.hi or e + open_slots < self.lo:
+            if e > self.hi or e + self.m - len(members) < self.lo:
                 return False
         return True
 
@@ -205,7 +185,7 @@ def enumerate_uniform(
         if not all(rules.host_ok(ms) for ms in members):
             continue
         baseline += 1
-        if all(rules.group_ok_full(ms) for ms in members):
+        if all(rules.group_ok(ms) for ms in members):
             feasible += 1
             tally.add(perms, rules)
     if feasible == 0:
@@ -220,7 +200,7 @@ def enumerate_uniform(
 def _naive_completable(rules: _Rules, groups, todo) -> bool:
     """Can the remaining (pot, team) list be placed to finish validly?"""
     if not todo:
-        return all(rules.group_ok_full(ms) for ms in groups)
+        return all(rules.group_ok(ms) for ms in groups)
     n = rules.n
     pot, tid = todo[0]
     rest = todo[1:]
@@ -229,8 +209,7 @@ def _naive_completable(rules: _Rules, groups, todo) -> bool:
         if g in filled:
             continue
         members = groups[g] + [tid]
-        open_slots = rules.m - len(members)
-        if not rules.group_ok_partial(members, open_slots):
+        if not rules.group_ok(members):
             continue
         groups[g] = members
         if _naive_completable(rules, groups, rest):
@@ -269,7 +248,7 @@ def _naive_uniform_trial(rules: _Rules, stream):
             open_groups = [g for g in range(n) if g not in taken]
             _pick(stream, [t for t in pot if pos[t] == -1], open_groups, pos)
         groups = [[t for t in range(m * n) if pos[t] == g] for g in range(n)]
-        if all(rules.group_ok_full(ms) for ms in groups):
+        if all(rules.group_ok(ms) for ms in groups):
             return pos, p
     raise ProposalBudgetError(f"no valid assignment in {DEFAULT_ENUMERATION_BUDGET} proposals")
 
@@ -291,7 +270,7 @@ def _naive_skip_place(rules: _Rules, orders):
                 if grid[k][g] != -1:
                     continue
                 members = groups[g] + [tid]
-                if not rules.group_ok_partial(members, m - len(members)):
+                if not rules.group_ok(members):
                     continue
                 groups[g] = members
                 if _naive_completable(rules, groups, later):

@@ -64,6 +64,7 @@ def test_simulate_forced_minimum_under_all_constraints(tmp_path):
 
 def test_simulate_usage_errors():
     assert run_cli("simulate", "--trials", "0") == 2
+    assert run_cli("probs", "--scenario", "0", "--mechanism", "skip", "--trials", "0") == 2
     assert run_cli("simulate", "--scenario", "99") == 2
     assert run_cli("simulate", "--mechanism", "drop") == 2
     assert run_cli("simulate", "--threads", "0") == 2
@@ -192,6 +193,17 @@ def test_pareto_input_errors(tmp_path):
     ):
         bad.write_text(text)
         assert run_cli("pareto", str(bad)) == 2
+
+
+def test_instance_input_errors(tmp_path, capsys):
+    # a malformed instance document is a configuration error, an unreadable one an i/o error
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"confederations": ["X"], "pots": 5}')
+    for command in ("simulate", "oracle"):
+        assert run_cli(command, "--instance", str(bad)) == 2
+        assert run_cli(command, "--instance", str(tmp_path)) == 5
+    err = capsys.readouterr().err
+    assert "error: 'pots' must be a list" in err and "i/o error:" in err
 
 
 def test_oracle_toy_two_by_two(tmp_path, capsys):

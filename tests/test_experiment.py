@@ -123,7 +123,7 @@ def test_task_plan_splits_cells_only_when_fewer_than_workers(
     def fake_shard(args):
         _, s, mech, _, lo, hi, _ = args
         ran.append((s, mech, lo, hi))
-        return np.zeros(1, dtype=np.int64), hi - lo, np.array([hi - lo]), None, 0.0
+        return np.zeros(1, dtype=np.int64), np.array([hi - lo]), hi - lo, 0.0
 
     class SerialPool:
         def __init__(self, max_workers):
@@ -144,8 +144,11 @@ def test_task_plan_splits_cells_only_when_fewer_than_workers(
     results = experiment._run_cells(ihf, cells, trials, 0, workers, DEFAULT_PROPOSAL_CAP)
     assert ran == [(s, mech, lo, hi) for s, mech in cells for lo, hi in shards]
     assert pools == ([] if pool is None else [pool])
-    # every cell's shards merge to all of its trials
+    # every cell's shards merge to all of its trials, and Uniform's to all of its proposals
     assert [r.histogram for r in results] == [{0: trials}] * ncells
+    assert [r.feasible_proportion for r in results] == [
+        1.0 if mech == "uniform" else None for _, mech in cells
+    ]
 
 
 def test_sweep_cardinality_order_and_determinism(ihf):

@@ -500,7 +500,7 @@ def test_checks_agree_with_oracle_rules():
             ids = [t.id for t in inst.pot_teams(k + 1)]
             rng.shuffle(ids)
             full.slots[k] = ids
-        expect = {g for g in range(inst.n) if not rules.group_ok_full(full.group_members(g))}
+        expect = {g for g in range(inst.n) if not rules.group_ok(full.group_members(g))}
         assert {v.group for v in dl.check_full(inst, cs, full)} == expect
         partial = full.copy()
         keep = rng.random()
@@ -509,11 +509,7 @@ def test_checks_agree_with_oracle_rules():
                 if rng.random() > keep:
                     row[g] = -1
         flagged = {v.group for v in dl.check_partial(inst, cs, partial)}
-        expect = set()
-        for g in range(inst.n):
-            members = partial.group_members(g)
-            if not rules.group_ok_partial(members, inst.m - len(members)):
-                expect.add(g)
+        expect = {g for g in range(inst.n) if not rules.group_ok(partial.group_members(g))}
         assert flagged == expect, (inst.to_document(), cs.scenario, partial.slots)
 
 

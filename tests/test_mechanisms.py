@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import drawlab as dl
 from drawlab import feasibility, mechanisms
-from drawlab.experiment import _merge_shards, _run_shard
+from drawlab.experiment import _run_shard
 from drawlab.mechanisms import (
     DEFAULT_PROPOSAL_CAP,
     SkipEngine,
@@ -564,12 +564,14 @@ def test_skip_results_do_not_depend_on_batch_or_shard_split(case, seed, cuts):
     t = bounds[1] - 1
     out = dl.draw_trial(inst, cs, "skip", seed, t)
     assert _pos_to_assignment(inst, whole[t].tolist()) == out.assignment
-    # shard counters merge to the serial ones
+    # shard records sum to the serial one: the same pair counts and histogram,
+    # T trials in the histogram, and no proposals
     task = (inst, cs.scenario, "skip", seed)
     serial = _run_shard(task + (0, T, DEFAULT_PROPOSAL_CAP))
-    merged = _merge_shards([_run_shard(task + (a, b, DEFAULT_PROPOSAL_CAP)) for a, b in spans])
-    assert (serial[0] == merged[0]).all() and serial[1] == merged[1] == T
-    assert np.trim_zeros(serial[2], "b").tolist() == np.trim_zeros(merged[2], "b").tolist()
+    parts = [_run_shard(task + (a, b, DEFAULT_PROPOSAL_CAP)) for a, b in spans]
+    counts, hist, proposals, _ = map(sum, zip(*parts))
+    assert (serial[0] == counts).all() and serial[1].tolist() == hist.tolist()
+    assert serial[1].sum() == T and serial[2] == proposals == 0
 
 
 def test_skip_transition_table_is_built_whole_and_deterministic(ihf):

@@ -40,15 +40,17 @@ def test_toy_instance_three_pots_of_two():
 
 
 def test_unequal_pots_rejected():
-    doc = {
-        "confederations": ["X"],
-        "pots": [
-            [{"name": f"a{i}", "confederation": "X"} for i in range(8)],
-            [{"name": f"b{i}", "confederation": "X"} for i in range(7)],
-        ],
-    }
-    with pytest.raises(InstanceFormatError):
-        dl.load_instance(json.dumps(doc))
+    # an empty last pot too, which the team numbering alone would not see
+    for sizes in ((8, 7), (1, 1, 0)):
+        pots = [[(f"{k}_{i}", "X") for i in range(size)] for k, size in enumerate(sizes)]
+        doc = {
+            "confederations": ["X"],
+            "pots": [[{"name": t, "confederation": c} for t, c in pot] for pot in pots],
+        }
+        with pytest.raises(InstanceFormatError, match="pots have unequal sizes"):
+            dl.build_instance(pots)
+        with pytest.raises(InstanceFormatError, match="pots have unequal sizes"):
+            dl.load_instance(json.dumps(doc))
 
 
 @pytest.mark.parametrize(
@@ -60,6 +62,15 @@ def test_unequal_pots_rejected():
         lambda d: d.update(host_exclusion=["Narnia"]),
         lambda d: d.update(europe="Atlantis"),
         lambda d: d.pop("pots"),
+        lambda d: d.update(pots=5),
+        lambda d: d["pots"].append(5),
+        lambda d: d["pots"][0].append("Denmark"),
+        lambda d: d["pots"][0][0].update(name=["Denmark"]),
+        lambda d: d["pots"][0][0].update(confederation=["Europe"]),
+        lambda d: d.update(host_exclusion=5),
+        lambda d: d.update(host_exclusion=[["Denmark"]]),
+        lambda d: d.update(europe=["Europe"]),
+        lambda d: d.update(europe={"name": "Europe"}),
     ],
 )
 def test_malformed_documents_rejected(ihf, mutate):
@@ -84,6 +95,41 @@ def _twin_document(**fields):
     }
     doc.update(fields)
     return doc
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=2),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=2), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+@given(
+    where=st.sampled_from(
+        [
+            ("name",), ("confederations",), ("confederations", 0), ("europe",), ("pots",),
+            ("pots", 0), ("pots", 0, 0), ("pots", 0, 0, "name"), ("pots", 0, 0, "confederation"),
+            ("host_exclusion",), ("host_exclusion", 0),
+        ]
+    ),
+    value=_JSON,
+)
+def test_any_document_shape_loads_or_raises_instance_format_error(where, value):
+    doc = _twin_document(host_exclusion=["a"], europe="Europe")
+    *path, last = where
+    target = doc
+    for step in path:
+        target = target[step]
+    target[last] = value
+    try:
+        dl.load_instance(doc)
+    except InstanceFormatError:
+        pass
+
+
+def test_duplicate_team_name_is_named():
+    with pytest.raises(InstanceFormatError, match="duplicate team name 'a'"):
+        dl.build_instance([[("a", "X"), ("b", "X")], [("c", "X"), ("a", "X")]])
 
 
 def test_document_and_nested_pots_build_the_same_instance():
